@@ -22,7 +22,6 @@ from .multigraph import (
     generate_theta,
     graph_to_json,
     is_connected,
-    is_cycle,
     is_stable,
     parse_graph,
     spanning_tree,
@@ -34,7 +33,6 @@ from .edge_operator import (
     is_permutation,
     matrix_from_coordinate_text,
     matrix_to_coordinate_text,
-    matrix_to_json,
     one_minus_edge_matrix,
     oriented_edges,
     reversal,

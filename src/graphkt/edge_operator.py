@@ -22,12 +22,9 @@ __all__ = [
     "one_minus_edge_matrix",
     "is_irreducible",
     "is_permutation",
-    "matrix_to_json",
     "matrix_to_coordinate_text",
     "matrix_from_coordinate_text",
 ]
-
-import json
 
 
 def oriented_edges(G):
@@ -102,10 +99,6 @@ def is_permutation(A):
     if any(sum(row) != 1 for row in A):
         return False
     return all(sum(A[i][j] for i in range(n)) == 1 for j in range(n))
-
-
-def matrix_to_json(A):
-    return json.dumps(A)
 
 
 def matrix_to_coordinate_text(A):

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import TheoremViolation
+
 __all__ = [
     "xgcd",
     "identity_matrix",
-    "zero_matrix",
     "transpose",
     "mat_mul",
     "mat_vec",
@@ -66,10 +67,6 @@ def xgcd(a, b):
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(rows, cols):
-    return [[0] * cols for _ in range(rows)]
 
 
 def transpose(M):
@@ -235,10 +232,11 @@ def smith_normal_form(M):
         ops.append(("row_neg", i))
 
     def col_add(dst, src, k):
-        for r in D:
-            r[dst] += k * r[src]
-        for r in Y:
-            r[dst] += k * r[src]
+        for W in (D, Y):
+            for r in W:
+                v = r[src]
+                if v:  # most entries of a sparse column are zero
+                    r[dst] += k * v
         ops.append(("col_add", dst, src, k))
 
     def col_swap(i, j):
@@ -253,6 +251,8 @@ def smith_normal_form(M):
     t = 0
     limit = min(rows, cols)
     while t < limit:
+        # row-major scan for the first entry of least nonzero magnitude; a
+        # unit cannot be beaten, so the scan stops at the first one
         best = None
         best_abs = None
         for i in range(t, rows):
@@ -261,6 +261,10 @@ def smith_normal_form(M):
                 if v and (best is None or abs(v) < best_abs):
                     best = (i, j)
                     best_abs = abs(v)
+                    if best_abs == 1:
+                        break
+            if best_abs == 1:
+                break
         if best is None:
             break
         row_swap(t, best[0])
@@ -294,7 +298,10 @@ def smith_normal_form(M):
                         break
             if moved:
                 continue
-            # row and column t are clear; enforce the divisibility chain
+            # row and column t are clear; enforce the divisibility chain,
+            # which a unit pivot satisfies trivially
+            if pivot == 1:
+                break
             violator = None
             for i in range(t + 1, rows):
                 if any(D[i][j] % pivot for j in range(t + 1, cols)):
@@ -427,18 +434,22 @@ def cokernel(M):
     return AbelianGroup.from_diagonal(diag, n)
 
 
-def solve_min_scalar(M, b):
+def solve_min_scalar(M, b, snf=None):
     """Smallest positive lam such that M x = lam * b is solvable over Z.
 
     Returns (lam, x) with a verified integer witness x, or None when no
-    positive multiple of b lies in the image of M.
+    positive multiple of b lies in the image of M.  ``snf``, when given,
+    must be ``smith_normal_form(M)``; it is then reused instead of being
+    computed again.  A witness that does not multiply back raises
+    TheoremViolation.
     """
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("square matrix required")
     if len(b) != n:
         raise ValueError("vector length must match the matrix size")
-    snf = smith_normal_form(M)
+    if snf is None:
+        snf = smith_normal_form(M)
     diag = snf.diagonal
     c = mat_vec(snf.x, b)
     lam = 1
@@ -455,7 +466,8 @@ def solve_min_scalar(M, b):
         if d:
             y[i] = lam * c[i] // d
     x = mat_vec(snf.y, y)
-    assert mat_vec(M, x) == [lam * v for v in b]
+    if mat_vec(M, x) != [lam * v for v in b]:
+        raise TheoremViolation("solver witness x must satisfy M x = lam * b")
     return lam, x
 
 

@@ -5,7 +5,12 @@ the cokernel of 1 - A^t gives the degree-zero group, the kernel of the
 operator (the right kernel of 1 - A^t, since the operator acts on column
 vectors as the transpose of A) gives the degree-one group.  The order of
 the unit class is the least positive lam with lam * (1, ..., 1) in the
-image of 1 - A.  Identities that must hold between independently computed
+image of 1 - A.  One Smith form X (1 - A) Y = D per graph feeds all three:
+the degree-zero group is read off D, the kernel lattice is spanned by the
+rows of X at the zero positions of D (X is unimodular and X (1 - A) = D Y^-1,
+so those rows span {v : v (1 - A) = 0}), and the unit solve reuses X and Y.
+A second, independent reduction of 1 - A^t cross-checks the degree-zero
+group.  Identities that must hold between independently computed
 quantities are re-verified at runtime and raise TheoremViolation on
 mismatch; that always means a bug, never bad input.
 """
@@ -30,6 +35,7 @@ from .exact_linalg import (
     hermite_normal_form,
     kernel_basis,
     mat_vec,
+    smith_normal_form,
     solve_min_scalar,
     transpose,
 )
@@ -62,14 +68,31 @@ def _require_genus(G, minimum, message=None):
     return g
 
 
+def _decompose(G):
+    """(M, snf, group): M = 1 - A, its Smith form, and the degree-zero
+    group read off the Smith diagonal.  The group is cross-checked against
+    the cokernel of 1 - A^t, which reduces the transpose independently
+    (first, so that only one reduction is held in memory at a time)."""
+    M = one_minus_edge_matrix(G)
+    transposed = cokernel(transpose(M))
+    snf = smith_normal_form(M)
+    group = AbelianGroup.from_diagonal(snf.diagonal, len(M))
+    if group != transposed:
+        raise TheoremViolation("cokernel must not depend on the transpose convention")
+    return M, snf, group
+
+
+def _kernel_rows(snf):
+    """Hermite basis of {v : v M = 0} = ker(M^t) from the Smith form of M:
+    the rows of X at the zero positions of the diagonal."""
+    H, _ = hermite_normal_form([snf.x[i] for i, d in enumerate(snf.diagonal) if d == 0])
+    return H
+
+
 def k0(G):
     """Cokernel of 1 - A^t on Z^(2m), cross-computed from 1 - A."""
     _require_genus(G, 1)
-    M = one_minus_edge_matrix(G)
-    group = cokernel(transpose(M))
-    if group != cokernel(M):
-        raise TheoremViolation("cokernel must not depend on the transpose convention")
-    return group
+    return _decompose(G)[2]
 
 
 def k1(G):
@@ -79,7 +102,7 @@ def k1(G):
     number for g >= 2 and 2 for g = 1.
     """
     _require_genus(G, 1)
-    basis = kernel_basis(transpose(one_minus_edge_matrix(G)))
+    basis = _kernel_rows(smith_normal_form(one_minus_edge_matrix(G)))
     return len(basis), basis
 
 
@@ -353,16 +376,16 @@ def _simplicity_flags(G):
     return irreducible, permutation, irreducible and not permutation
 
 
-def _unit_position(G):
+def _unit_position(G, M, snf=None):
     """(order, witness) of the unit class, or None when the order is infinite.
 
-    The solver result is cross-checked against the closed form
-    (g - 1) / gcd(g - 1, |V|) for g >= 2; for g = 1 no positive multiple of
-    the all-ones vector can lie in the image.
+    M is 1 - A and snf, when given, its Smith form.  The solver result is
+    cross-checked against the closed form (g - 1) / gcd(g - 1, |V|) for
+    g >= 2; for g = 1 no positive multiple of the all-ones vector can lie in
+    the image.  The caller has checked g >= 1.
     """
-    g = _require_genus(G, 1)
-    M = one_minus_edge_matrix(G)
-    result = solve_min_scalar(M, [1] * len(M))
+    g = betti_number(G)
+    result = solve_min_scalar(M, [1] * len(M), snf)
     if g >= 2:
         expected = (g - 1) // gcd(g - 1, G.vertex_count)
         if result is None or result[0] != expected:
@@ -378,7 +401,8 @@ def _unit_position(G):
 def unit_order(G):
     """Order of the unit class: least lam > 0 with lam * (1, ..., 1) in the
     image of 1 - A, or None (infinite order, g = 1)."""
-    result = _unit_position(G)
+    _require_genus(G, 1)
+    result = _unit_position(G, one_minus_edge_matrix(G))
     return None if result is None else result[0]
 
 
@@ -448,15 +472,20 @@ def classify_stable(G1, G2):
     )
 
 
+def _k0_and_unit_order(G):
+    # one decomposition per graph, released before the next graph's
+    M, snf, group = _decompose(G)
+    return group, _unit_position(G, M, snf)[0]
+
+
 def classify_strict(G1, G2):
     """Strict-isomorphism verdict: isomorphic exactly when the Betti
     numbers and the unit-class orders agree.  If the simplicity hypothesis
     fails on either side the verdict is INDETERMINATE."""
     g1 = _require_genus(G1, 2, _CLASSIFY_MESSAGE)
     g2 = _require_genus(G2, 2, _CLASSIFY_MESSAGE)
-    groups = (k0(G1), k0(G2))
+    groups, orders = zip(_k0_and_unit_order(G1), _k0_and_unit_order(G2))
     flags = (_simplicity_flags(G1)[2], _simplicity_flags(G2)[2])
-    orders = (unit_order(G1), unit_order(G2))
     if not all(flags):
         return ClassificationVerdict(
             mode="strict",
@@ -506,15 +535,16 @@ class KTheoryReport:
 def ktheory_report(G):
     """Full invariant report with all cross-checks applied."""
     g = _require_genus(G, 1)
-    group = k0(G)
-    rank, basis = k1(G)
+    M, snf, group = _decompose(G)
+    basis = _kernel_rows(snf)
+    rank = len(basis)
     expected_free = g if g >= 2 else 2
     expected_torsion = (g - 1,) if g >= 3 else ()
     if (group.free_rank, group.torsion) != (expected_free, expected_torsion):
         raise TheoremViolation(f"unexpected degree-zero group {group} for g = {g}")
     if rank != expected_free:
         raise TheoremViolation(f"unexpected kernel rank {rank} for g = {g}")
-    position = _unit_position(G)
+    position = _unit_position(G, M, snf)
     order = None if position is None else position[0]
     witness = None if position is None else tuple(position[1])
     if order is not None and (g - 1) % order:

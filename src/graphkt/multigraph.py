@@ -27,7 +27,6 @@ __all__ = [
     "spanning_tree",
     "cycle_basis",
     "boundary",
-    "is_cycle",
     "contract_edge",
     "is_stable",
     "classify_end_edges",
@@ -141,10 +140,6 @@ def boundary(G, coeffs):
             out[v] += c
             out[u] -= c
     return out
-
-
-def is_cycle(G, coeffs):
-    return len(coeffs) == len(G.edges) and not any(boundary(G, coeffs))
 
 
 def _chain_to_root(G, parent, x):

@@ -16,11 +16,13 @@ from math import gcd
 
 from . import ihara_zeta, ktheory
 from .edge_operator import edge_matrix, is_irreducible, is_permutation, reversal
+from .errors import DomainError
 from .exact_linalg import (
     apply_operations,
     apply_row_operations_to_vector,
     determinant,
     hermite_normal_form,
+    kernel_basis,
     mat_mul,
     mat_vec,
     smith_normal_form,
@@ -105,7 +107,7 @@ def random_connected(config):
         n for n in range(1, config.max_vertices + 1) if max(n - 1, 1) <= config.max_edges
     ]
     if not feasible:
-        raise ValueError("bounds admit no connected graph with at least one edge")
+        raise DomainError("bounds admit no connected graph with at least one edge")
     out = []
     while len(out) < config.sample_count:
         n = rng.choice(feasible)
@@ -165,7 +167,7 @@ class GraphChecks:
 
     @cached_property
     def unit(self):
-        return solve_min_scalar(self.M, [1] * len(self.M))
+        return solve_min_scalar(self.M, [1] * len(self.M), self.snf)
 
 
 def _canonical_diag(diag, size):
@@ -275,11 +277,16 @@ def check_ktheory_groups(ctx):
         (group.free_rank, group.torsion) == (expected_free, expected_torsion),
         f"degree-zero group {group} does not match g = {g}",
     )
-    rank, basis = ktheory.k1(ctx.graph)
+    basis = ctx.kernel
+    rank = len(basis)
     _need(rank == expected_free, f"kernel rank {rank} does not match g = {g}")
     Mt = transpose(ctx.M)
     for row in basis:
         _need(not any(mat_vec(Mt, row)), "kernel basis row not annihilated")
+    _need(
+        basis == kernel_basis(Mt),
+        "kernel basis from the rows of X must equal the transposed route's",
+    )
     return True
 
 
@@ -422,7 +429,7 @@ def check_boundary_compatibility(ctx):
 def check_convention_independence(ctx):
     if ctx.g < 1:
         return False
-    other = solve_min_scalar(transpose(ctx.M), [1] * len(ctx.M))
+    other = solve_min_scalar(transpose(ctx.M), [1] * len(ctx.M), ctx.snf_transpose)
     mine = ctx.unit
     _need(
         (mine is None) == (other is None)

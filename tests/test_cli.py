@@ -180,6 +180,11 @@ class TestVerify:
         )
         assert code == 0 and payload["graphs_checked"] == 25
 
+    @pytest.mark.parametrize("bound", [["--max-edges", "0"], ["--max-vertices", "0"]])
+    def test_empty_random_bounds_exit_2(self, capsys, bound):
+        assert main(["verify", "--random", *bound]) == 2
+        assert "error: bounds admit no connected graph" in capsys.readouterr().err
+
     def test_counterexample_exits_5(self, capsys, monkeypatch):
         import graphkt.sweep as sweep_mod
         from graphkt.edge_operator import edge_matrix as honest

@@ -1,3 +1,7 @@
+import dataclasses
+import subprocess
+import sys
+import textwrap
 from math import gcd
 
 import pytest
@@ -23,6 +27,7 @@ from graphkt import (
     solve_min_scalar,
     xgcd,
 )
+from graphkt.errors import TheoremViolation
 from graphkt.exact_linalg import (
     identity_matrix,
     mat_mul,
@@ -264,6 +269,42 @@ class TestSolveMinScalar:
 
     def test_zero_matrix_absent(self):
         assert solve_min_scalar([[0, 0], [0, 0]], [1, 1]) is None
+
+    def test_given_decomposition_reused(self):
+        M = one_minus_edge_matrix(generate_theta(4))
+        b = [1] * len(M)
+        assert solve_min_scalar(M, b, smith_normal_form(M)) == solve_min_scalar(M, b)
+
+    def test_tampered_decomposition_raises(self):
+        # negating Y negates the witness, so M x = -lam * b != lam * b
+        M = one_minus_edge_matrix(generate_flower(3))
+        snf = smith_normal_form(M)
+        bad = dataclasses.replace(snf, y=[[-v for v in row] for row in snf.y])
+        with pytest.raises(TheoremViolation, match="witness"):
+            solve_min_scalar(M, [1] * len(M), bad)
+
+    def test_tampered_decomposition_raises_under_optimize(self):
+        script = textwrap.dedent(
+            """
+            import dataclasses, sys
+            from graphkt import generate_flower, one_minus_edge_matrix
+            from graphkt.errors import TheoremViolation
+            from graphkt.exact_linalg import smith_normal_form, solve_min_scalar
+
+            assert False, "this script must run under python -O"
+            M = one_minus_edge_matrix(generate_flower(3))
+            snf = smith_normal_form(M)
+            bad = dataclasses.replace(snf, y=[[-v for v in row] for row in snf.y])
+            try:
+                solve_min_scalar(M, [1] * len(M), bad)
+            except TheoremViolation:
+                sys.exit(3)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 3, proc.stderr
 
     def test_zero_vector(self):
         lam, x = solve_min_scalar([[2, 0], [0, 2]], [0, 0])

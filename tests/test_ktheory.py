@@ -33,7 +33,13 @@ from graphkt import (
     unit_class_vector,
     unit_order,
 )
-from graphkt.exact_linalg import mat_vec, transpose
+from graphkt.exact_linalg import (
+    cokernel,
+    kernel_basis,
+    mat_vec,
+    solve_min_scalar,
+    transpose,
+)
 
 from .strategies import connected_multigraphs
 
@@ -338,3 +344,16 @@ class TestReport:
         assert payload["unit_order"] == 1
         assert payload["simplicity"]["simple_claim_applicable"] is True
         assert payload["witnesses"]["unit_preimage"] is not None
+
+    @settings(max_examples=60)
+    @given(connected_multigraphs(min_genus=1))
+    def test_matches_transposed_route(self, G):
+        # the report reads everything from one Smith form of 1 - A; the
+        # transpose of 1 - A, reduced independently, must give the same
+        rep = ktheory_report(G)
+        Mt = transpose(one_minus_edge_matrix(G))
+        assert rep.k0 == cokernel(Mt)
+        assert [list(row) for row in rep.k1_basis] == kernel_basis(Mt)
+        assert k1(G)[1] == kernel_basis(Mt)
+        other = solve_min_scalar(Mt, [1] * len(Mt))
+        assert rep.unit_order == (None if other is None else other[0])
