@@ -22,8 +22,6 @@ __all__ = [
     "one_minus_edge_matrix",
     "is_irreducible",
     "is_permutation",
-    "matrix_to_coordinate_text",
-    "matrix_from_coordinate_text",
 ]
 
 
@@ -99,23 +97,3 @@ def is_permutation(A):
     if any(sum(row) != 1 for row in A):
         return False
     return all(sum(A[i][j] for i in range(n)) == 1 for j in range(n))
-
-
-def matrix_to_coordinate_text(A):
-    """Coordinate-list export: dimension line, then 'row col' per unit entry."""
-    lines = [str(len(A))]
-    for i, row in enumerate(A):
-        for j, v in enumerate(row):
-            if v:
-                lines.append(f"{i} {j}")
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_coordinate_text(text):
-    lines = [line for line in text.splitlines() if line.strip()]
-    n = int(lines[0])
-    A = [[0] * n for _ in range(n)]
-    for line in lines[1:]:
-        i, j = map(int, line.split())
-        A[i][j] = 1
-    return A

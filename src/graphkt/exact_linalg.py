@@ -39,9 +39,7 @@ __all__ = [
     "cokernel",
     "solve_min_scalar",
     "poly_trim",
-    "poly_deg",
     "poly_add",
-    "poly_sub",
     "poly_mul",
     "poly_pow",
     "poly_eval",
@@ -483,10 +481,6 @@ def poly_trim(p):
     return p
 
 
-def poly_deg(p):
-    return len(p) - 1  # -1 for the zero polynomial
-
-
 def poly_add(p, q):
     n = max(len(p), len(q))
     out = [0] * n
@@ -495,10 +489,6 @@ def poly_add(p, q):
     for i, c in enumerate(q):
         out[i] += c
     return poly_trim(out)
-
-
-def poly_sub(p, q):
-    return poly_add(p, [-c for c in q])
 
 
 def poly_mul(p, q):

@@ -27,7 +27,6 @@ __all__ = [
     "vertex_adjacency_matrix",
     "edge_charpoly",
     "ihara_rhs",
-    "verify_bass_identity",
     "vanishing_order_at_one",
     "ZetaReport",
     "zeta_report",
@@ -79,14 +78,6 @@ def ihara_rhs(G):
     ]
     det = poly_matrix_det(P)
     return poly_mul(poly_pow([1, 0, -1], g - 1), det)
-
-
-def verify_bass_identity(G):
-    """Coefficientwise equality of the edge and vertex zeta polynomials."""
-    g = betti_number(G)
-    if g < 1:
-        raise DomainError("first Betti number g >= 1 required")
-    return edge_charpoly(G) == ihara_rhs(G)
 
 
 def vanishing_order_at_one(p):

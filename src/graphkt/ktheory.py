@@ -50,7 +50,7 @@ __all__ = [
     "ReductionTranscript",
     "contraction_reduce",
     "unit_order",
-    "unit_class_vector",
+    "expected_invariants",
     "ClassificationVerdict",
     "classify_stable",
     "classify_strict",
@@ -290,7 +290,7 @@ def contraction_reduce(G, rng=None):
         del sizes[hi]
         H = contract_edge(H, j)
         orig.pop(j)
-        _assert_contraction_state(M, b, H, orig, m, frozen, sizes)
+        _check_contraction_state(M, b, H, orig, m, frozen, sizes)
 
     # single-vertex block: surviving loops, both orientations
     loops = orig
@@ -331,14 +331,16 @@ def contraction_reduce(G, rng=None):
             current[p], current[q] = current[q], current[p]
 
     diag = [M[i][i] for i in range(two_m)]
-    assert all(
-        M[i][j] == 0 for i in range(two_m) for j in range(two_m) if i != j
-    ), "reduction must end diagonal"
-    assert all(abs(d) == 1 for d in diag[: two_m - g - 1])
-    assert abs(diag[two_m - g - 1]) == g - 1
-    assert all(d == 0 for d in diag[two_m - g :])
-    assert b[two_m - g - 1] == g * n_orig
-    assert all(b[i] == 0 for i in range(two_m - g, two_m))
+    if any(M[i][j] for i in range(two_m) for j in range(two_m) if i != j):
+        raise TheoremViolation("the contraction reduction must end diagonal")
+    if not (
+        all(abs(d) == 1 for d in diag[: two_m - g - 1])
+        and abs(diag[two_m - g - 1]) == g - 1
+        and not any(diag[two_m - g :])
+    ):
+        raise TheoremViolation("the reduced diagonal must be units, g - 1, then g zeros")
+    if b[two_m - g - 1] != g * n_orig or any(b[two_m - g :]):
+        raise TheoremViolation("the ones-image must end with g * |V| and g zeros")
     return ReductionTranscript(
         size=two_m,
         vertex_count=n_orig,
@@ -350,7 +352,7 @@ def contraction_reduce(G, rng=None):
     )
 
 
-def _assert_contraction_state(M, b, H, orig, m, frozen, sizes):
+def _check_contraction_state(M, b, H, orig, m, frozen, sizes):
     # Frozen rows and columns must be unit vectors; the active submatrix
     # must equal 1 - A of the contracted graph; the running ones-image on
     # an active row counts the original vertices merged into its terminus.
@@ -359,14 +361,16 @@ def _assert_contraction_state(M, b, H, orig, m, frozen, sizes):
     active = [orig[k] if k < m_h else orig[k - m_h] + m for k in range(2 * m_h)]
     A_h = edge_matrix(H)
     for fr in frozen:
-        assert all(M[fr][c] == (1 if c == fr else 0) for c in range(len(M)))
-        assert all(M[r][fr] == (1 if r == fr else 0) for r in range(len(M)))
+        unit = [1 if c == fr else 0 for c in range(len(M))]
+        if M[fr] != unit or [row[fr] for row in M] != unit:
+            raise TheoremViolation("a contracted row and column must be a unit vector")
     for k1_, r in enumerate(active):
         for k2_, c in enumerate(active):
-            expected = (1 if k1_ == k2_ else 0) - A_h[k1_][k2_]
-            assert M[r][c] == expected
+            if M[r][c] != (1 if k1_ == k2_ else 0) - A_h[k1_][k2_]:
+                raise TheoremViolation("the active block must be 1 - A of the contracted graph")
     for k, r in enumerate(active):
-        assert b[r] == sizes[ends[k][1]]
+        if b[r] != sizes[ends[k][1]]:
+            raise TheoremViolation("the ones-image must count the vertices merged into a terminus")
 
 
 def _simplicity_flags(G):
@@ -376,25 +380,28 @@ def _simplicity_flags(G):
     return irreducible, permutation, irreducible and not permutation
 
 
+def expected_invariants(G):
+    """(K0, kernel rank, unit order) as the theorem states them, from g and
+    |V| alone: Z^g + Z/(g - 1), rank g and (g - 1) / gcd(g - 1, |V|) for
+    g >= 2; Z^2, rank 2 and infinite order (None) for g = 1."""
+    g = _require_genus(G, 1)
+    if g == 1:
+        return AbelianGroup(2), 2, None
+    torsion = (g - 1,) if g >= 3 else ()
+    return AbelianGroup(g, torsion), g, (g - 1) // gcd(g - 1, G.vertex_count)
+
+
 def _unit_position(G, M, snf=None):
     """(order, witness) of the unit class, or None when the order is infinite.
 
     M is 1 - A and snf, when given, its Smith form.  The solver result is
-    cross-checked against the closed form (g - 1) / gcd(g - 1, |V|) for
-    g >= 2; for g = 1 no positive multiple of the all-ones vector can lie in
-    the image.  The caller has checked g >= 1.
+    cross-checked against the closed form of ``expected_invariants``.
     """
-    g = betti_number(G)
+    expected = expected_invariants(G)[2]
     result = solve_min_scalar(M, [1] * len(M), snf)
-    if g >= 2:
-        expected = (g - 1) // gcd(g - 1, G.vertex_count)
-        if result is None or result[0] != expected:
-            found = None if result is None else result[0]
-            raise TheoremViolation(
-                f"unit order solver found {found}, closed form gives {expected}"
-            )
-    elif result is not None:
-        raise TheoremViolation("the unit class must have infinite order when g = 1")
+    found = None if result is None else result[0]
+    if found != expected:
+        raise TheoremViolation(f"unit order solver found {found}, closed form gives {expected}")
     return result
 
 
@@ -404,11 +411,6 @@ def unit_order(G):
     _require_genus(G, 1)
     result = _unit_position(G, one_minus_edge_matrix(G))
     return None if result is None else result[0]
-
-
-def unit_class_vector(G):
-    """Image of the algebra unit in Z^(2m): the all-ones vector."""
-    return [1] * (2 * len(G.edges))
 
 
 EQUIVALENT = "EQUIVALENT"
@@ -511,10 +513,7 @@ def boundary_algebra_compatible(G):
     """Whether the algebra is strictly isomorphic to the one-vertex model of
     the same Betti number: gcd(g - 1, |V|) = 1, equivalently unit order g - 1."""
     g = _require_genus(G, 2)
-    compatible = gcd(g - 1, G.vertex_count) == 1
-    if compatible != (unit_order(G) == g - 1):
-        raise TheoremViolation("coprimality criterion must match the unit order")
-    return compatible
+    return expected_invariants(G)[2] == g - 1
 
 
 @dataclass(frozen=True)
@@ -538,17 +537,14 @@ def ktheory_report(G):
     M, snf, group = _decompose(G)
     basis = _kernel_rows(snf)
     rank = len(basis)
-    expected_free = g if g >= 2 else 2
-    expected_torsion = (g - 1,) if g >= 3 else ()
-    if (group.free_rank, group.torsion) != (expected_free, expected_torsion):
+    expected_group, expected_rank, _ = expected_invariants(G)
+    if group != expected_group:
         raise TheoremViolation(f"unexpected degree-zero group {group} for g = {g}")
-    if rank != expected_free:
+    if rank != expected_rank:
         raise TheoremViolation(f"unexpected kernel rank {rank} for g = {g}")
     position = _unit_position(G, M, snf)
     order = None if position is None else position[0]
     witness = None if position is None else tuple(position[1])
-    if order is not None and (g - 1) % order:
-        raise TheoremViolation("the unit order must divide g - 1")
     irreducible, permutation, simple = _simplicity_flags(G)
     return KTheoryReport(
         g=g,

@@ -13,7 +13,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DomainError, GraphParseError
+from .errors import DomainError, GraphParseError, TheoremViolation
 
 __all__ = [
     "Multigraph",
@@ -273,8 +273,8 @@ def generate_chain(g):
             edges.append((k, k + 1))
     edges.append((n - 1, n - 1))
     G = Multigraph(n, tuple(edges))
-    # construction self-check: the alternation pattern must give Betti g
-    assert betti_number(G) == g and is_stable(G)
+    if betti_number(G) != g or not is_stable(G):
+        raise TheoremViolation("the chain construction must give a stable graph of Betti number g")
     return G
 
 

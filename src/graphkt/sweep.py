@@ -9,15 +9,23 @@ empirical test bed: the theorems hold exactly, so any failure is a bug.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 from math import gcd
 
 from . import ihara_zeta, ktheory
-from .edge_operator import edge_matrix, is_irreducible, is_permutation, reversal
+from .edge_operator import (
+    edge_matrix,
+    is_irreducible,
+    is_permutation,
+    one_minus_edge_matrix,
+    reversal,
+)
 from .errors import DomainError
 from .exact_linalg import (
+    AbelianGroup,
     apply_operations,
     apply_row_operations_to_vector,
     determinant,
@@ -143,15 +151,16 @@ class GraphChecks:
         return edge_matrix(self.graph)
 
     @cached_property
-    def M(self):  # 1 - A
-        n = len(self.A)
-        return [
-            [(1 if i == j else 0) - self.A[i][j] for j in range(n)] for i in range(n)
-        ]
+    def M(self):
+        return one_minus_edge_matrix(self.graph)
 
     @cached_property
     def snf(self):
         return smith_normal_form(self.M)
+
+    @cached_property
+    def group(self):  # cokernel of the Smith diagonal of 1 - A
+        return AbelianGroup.from_diagonal(self.snf.diagonal, len(self.M))
 
     @cached_property
     def snf_transpose(self):
@@ -159,7 +168,11 @@ class GraphChecks:
 
     @cached_property
     def kernel(self):
-        return ktheory.k1(self.graph)[1]
+        return ktheory._kernel_rows(self.snf)
+
+    @cached_property
+    def expected(self):  # (K0, kernel rank, unit order) as the theorem states them
+        return ktheory.expected_invariants(self.graph)
 
     @cached_property
     def transcript(self):
@@ -168,18 +181,6 @@ class GraphChecks:
     @cached_property
     def unit(self):
         return solve_min_scalar(self.M, [1] * len(self.M), self.snf)
-
-
-def _canonical_diag(diag, size):
-    torsion = tuple(abs(d) for d in diag if abs(d) >= 2)
-    zeros = size - sum(1 for d in diag if d)
-    return torsion, zeros
-
-
-def _expected_canonical(g, size):
-    if g == 1:
-        return (), 2
-    return ((g - 1,) if g >= 3 else ()), g
 
 
 def check_graph_structure(ctx):
@@ -251,7 +252,6 @@ def check_edge_matrix_structure(ctx):
 def check_snf_diagonal(ctx):
     if ctx.g < 1:
         return False
-    size = len(ctx.M)
     snf = ctx.snf
     _need(
         mat_mul(mat_mul(snf.x, ctx.M), snf.y) == snf.d,
@@ -260,7 +260,7 @@ def check_snf_diagonal(ctx):
     _need(abs(determinant(snf.x)) == 1, "row transform must be unimodular")
     _need(abs(determinant(snf.y)) == 1, "column transform must be unimodular")
     _need(
-        _canonical_diag(snf.diagonal, size) == _expected_canonical(ctx.g, size),
+        ctx.group == ctx.expected[0],
         f"diagonal of 1 - A must be units, g - 1, then g zeros (g = {ctx.g})",
     )
     return True
@@ -270,16 +270,11 @@ def check_ktheory_groups(ctx):
     if ctx.g < 1:
         return False
     g = ctx.g
-    group = ktheory.k0(ctx.graph)
-    expected_free = g if g >= 2 else 2
-    expected_torsion = (g - 1,) if g >= 3 else ()
-    _need(
-        (group.free_rank, group.torsion) == (expected_free, expected_torsion),
-        f"degree-zero group {group} does not match g = {g}",
-    )
+    expected_group, expected_rank, _ = ctx.expected
+    _need(ctx.group == expected_group, f"degree-zero group {ctx.group} does not match g = {g}")
     basis = ctx.kernel
     rank = len(basis)
-    _need(rank == expected_free, f"kernel rank {rank} does not match g = {g}")
+    _need(rank == expected_rank, f"kernel rank {rank} does not match g = {g}")
     Mt = transpose(ctx.M)
     for row in basis:
         _need(not any(mat_vec(Mt, row)), "kernel basis row not annihilated")
@@ -325,7 +320,7 @@ def check_unit_order(ctx):
         return True
     _need(result is not None, "unit order must be finite for g >= 2")
     lam, witness = result
-    closed_v = (g - 1) // gcd(g - 1, G.vertex_count)
+    closed_v = ctx.expected[2]
     closed_e = (g - 1) // gcd(g - 1, len(G.edges))
     _need(lam == closed_v == closed_e, "solver and closed forms must agree")
     _need(
@@ -366,7 +361,7 @@ def check_reduction_transcript(ctx):
     )
     _need(all(ones[i] == 0 for i in range(size - g, size)), "last g entries must vanish")
     _need(
-        _canonical_diag(t.final_diagonal, size) == _canonical_diag(ctx.snf.diagonal, size),
+        AbelianGroup.from_diagonal(t.final_diagonal, size) == ctx.group,
         "transcript diagonal must match the smith diagonal canonically",
     )
     return True
@@ -378,21 +373,17 @@ def check_contraction_claim(ctx):
     if not nonloops or ctx.g < 1:
         return False
     size = len(ctx.M)
-    own = _canonical_diag(ctx.snf.diagonal, size)
     for e in nonloops:
-        contracted = contract_edge(G, e)
-        A2 = edge_matrix(contracted)
-        n2 = len(A2)
-        M2 = [[(1 if i == j else 0) - A2[i][j] for j in range(n2)] for i in range(n2)]
+        M2 = one_minus_edge_matrix(contract_edge(G, e))
         diag2 = smith_normal_form(M2).diagonal + [1, 1]
         _need(
-            _canonical_diag(diag2, size) == own,
+            AbelianGroup.from_diagonal(diag2, size) == ctx.group,
             "contraction must split off a rank-2 unit block",
         )
-    rng = random.Random(hash(G.edges) ^ G.vertex_count)
+    rng = random.Random(zlib.crc32(format_graph(G).encode()))
     shuffled = ktheory.contraction_reduce(G, rng=rng)
     _need(
-        _canonical_diag(shuffled.final_diagonal, size) == own,
+        AbelianGroup.from_diagonal(shuffled.final_diagonal, size) == ctx.group,
         "final diagonal must not depend on the contraction order",
     )
     return True
@@ -407,7 +398,7 @@ def check_bass_identity(ctx):
         "edge and vertex zeta polynomials must agree",
     )
     order = ihara_zeta.vanishing_order_at_one(edge_poly)
-    expected = ctx.g if ctx.g >= 2 else 2
+    expected = ctx.expected[1]
     _need(order == expected, f"vanishing order {order} must equal {expected}")
     rank = sum(1 for d in ctx.snf.diagonal if d)
     _need(order == len(ctx.M) - rank, "vanishing order must equal the corank of 1 - A")
@@ -437,8 +428,7 @@ def check_convention_independence(ctx):
         "unit order must not depend on the transpose convention",
     )
     _need(
-        _canonical_diag(ctx.snf_transpose.diagonal, len(ctx.M))
-        == _canonical_diag(ctx.snf.diagonal, len(ctx.M)),
+        AbelianGroup.from_diagonal(ctx.snf_transpose.diagonal, len(ctx.M)) == ctx.group,
         "smith diagonal must not depend on the transpose convention",
     )
     return True

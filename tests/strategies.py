@@ -2,7 +2,8 @@
 
 from hypothesis import strategies as st
 
-from graphkt import Multigraph, is_connected
+from graphkt import Multigraph
+from graphkt.multigraph import is_connected
 
 
 @st.composite

@@ -14,34 +14,29 @@ from math import gcd
 import pytest
 
 from graphkt import (
-    betti_number,
-    classify_end_edges,
     classify_stable,
     classify_strict,
-    contract_edge,
-    contraction_reduce,
-    cycle_basis,
-    edge_charpoly,
     generate_chain,
     generate_flower,
     generate_theta,
-    hermite_normal_form,
-    ihara_rhs,
-    is_stable,
-    k0,
-    k1,
-    one_minus_edge_matrix,
-    phi,
-    smith_normal_form,
-    solve_min_scalar,
-    unit_order,
-    vanishing_order_at_one,
 )
+from graphkt.edge_operator import one_minus_edge_matrix
 from graphkt.exact_linalg import (
     apply_operations,
     apply_row_operations_to_vector,
+    hermite_normal_form,
     mat_vec,
-    transpose,
+    smith_normal_form,
+    solve_min_scalar,
+)
+from graphkt.ihara_zeta import edge_charpoly, ihara_rhs, vanishing_order_at_one
+from graphkt.ktheory import contraction_reduce, k0, k1, phi, unit_order
+from graphkt.multigraph import (
+    betti_number,
+    classify_end_edges,
+    contract_edge,
+    cycle_basis,
+    is_stable,
 )
 from graphkt.sweep import enumerate_connected
 

@@ -1,20 +1,14 @@
 from hypothesis import given, settings
 
-from graphkt import (
-    Multigraph,
-    betti_number,
+from graphkt import Multigraph, generate_cycle, generate_flower, generate_theta
+from graphkt.edge_operator import (
     edge_matrix,
-    generate_cycle,
-    generate_flower,
-    generate_theta,
     is_irreducible,
     is_permutation,
-    matrix_from_coordinate_text,
-    matrix_to_coordinate_text,
     oriented_edges,
     reversal,
-    valences,
 )
+from graphkt.multigraph import betti_number, valences
 
 from .strategies import connected_multigraphs
 
@@ -118,10 +112,3 @@ class TestPermutation:
 
     def test_flower2_not(self):
         assert not is_permutation(edge_matrix(generate_flower(2)))
-
-
-def test_coordinate_text_roundtrip():
-    A = edge_matrix(generate_theta(2))
-    text = matrix_to_coordinate_text(A)
-    assert text.splitlines()[0] == "6"
-    assert matrix_from_coordinate_text(text) == A

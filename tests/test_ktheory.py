@@ -1,45 +1,47 @@
 import random
+import subprocess
+import sys
+import textwrap
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 
 from graphkt import (
-    AbelianGroup,
     DomainError,
     Multigraph,
-    apply_operations,
-    apply_row_operations_to_vector,
-    betti_number,
-    boundary_algebra_compatible,
     classify_stable,
     classify_strict,
-    contract_edge,
-    contraction_reduce,
-    cycle_basis,
-    g1_kernel_generators,
     generate_chain,
     generate_cycle,
     generate_flower,
     generate_theta,
-    hermite_normal_form,
-    k0,
-    k1,
     ktheory_report,
-    one_minus_edge_matrix,
-    phi,
-    phi_image_equals_kernel,
     report_to_json_dict,
-    unit_class_vector,
-    unit_order,
 )
+from graphkt.edge_operator import one_minus_edge_matrix
 from graphkt.exact_linalg import (
+    AbelianGroup,
+    apply_operations,
+    apply_row_operations_to_vector,
     cokernel,
     kernel_basis,
     mat_vec,
     solve_min_scalar,
     transpose,
 )
+from graphkt.ktheory import (
+    boundary_algebra_compatible,
+    contraction_reduce,
+    expected_invariants,
+    g1_kernel_generators,
+    k0,
+    k1,
+    phi,
+    phi_image_equals_kernel,
+    unit_order,
+)
+from graphkt.multigraph import betti_number, contract_edge, cycle_basis
 
 from .strategies import connected_multigraphs
 
@@ -193,6 +195,39 @@ class TestTranscript:
         with pytest.raises(DomainError):
             contraction_reduce(Multigraph(2, ((0, 1),)))
 
+    def test_tampered_reduction_raises_under_optimize(self):
+        # flower 3 reaches the final checks without a contraction round,
+        # theta 3 trips the per-round state check
+        script = textwrap.dedent(
+            """
+            import sys
+            import graphkt.ktheory as ktheory
+            from graphkt import generate_flower, generate_theta
+            from graphkt.edge_operator import one_minus_edge_matrix
+            from graphkt.errors import TheoremViolation
+
+            assert False, "this script must run under python -O"
+
+            def tampered(G):
+                M = one_minus_edge_matrix(G)
+                M[0][-1] += 1
+                return M
+
+            ktheory.one_minus_edge_matrix = tampered
+            raised = 0
+            for G in (generate_flower(3), generate_theta(3)):
+                try:
+                    ktheory.contraction_reduce(G)
+                except TheoremViolation:
+                    raised += 1
+            sys.exit(3 if raised == 2 else 1)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 3, proc.stderr
+
 
 class TestUnitOrder:
     def test_flower5(self):
@@ -217,11 +252,6 @@ class TestUnitOrder:
         assert lam == (g - 1) // gcd(g - 1, G.vertex_count)
         assert lam == (g - 1) // gcd(g - 1, len(G.edges))
         assert (g - 1) % lam == 0
-
-
-def test_unit_class_vector():
-    assert unit_class_vector(generate_flower(1)) == [1, 1]
-    assert unit_class_vector(generate_theta(2)) == [1] * 6
 
 
 class TestClassify:
@@ -275,7 +305,7 @@ class TestClassify:
 
 
 def test_transcript_exports_operation_log():
-    from graphkt import operations_to_text
+    from graphkt.exact_linalg import operations_to_text
 
     t = contraction_reduce(generate_theta(2))
     text = operations_to_text(t.operations)
@@ -296,6 +326,22 @@ def test_order_realization_all_divisors(g):
     realized = {unit_order(S) for S in stages}
     divisors = {d for d in range(1, g) if (g - 1) % d == 0}
     assert realized == divisors
+
+
+@pytest.mark.parametrize(
+    "G, group, order",
+    [
+        (generate_flower(1), AbelianGroup(2), None),
+        (generate_flower(3), AbelianGroup(3, (2,)), 2),
+        (generate_theta(4), AbelianGroup(4, (3,)), 3),
+        (generate_chain(5), AbelianGroup(5, (4,)), 1),
+    ],
+    ids=["flower1", "flower3", "theta4", "chain5"],
+)
+def test_expected_invariants(G, group, order):
+    assert expected_invariants(G) == (group, group.free_rank, order)
+    rep = ktheory_report(G)
+    assert (rep.k0, rep.k1_rank, rep.unit_order) == (group, group.free_rank, order)
 
 
 class TestBoundaryCompatible:

@@ -6,21 +6,23 @@ from graphkt import (
     DomainError,
     GraphParseError,
     Multigraph,
-    betti_number,
-    boundary,
-    classify_end_edges,
-    contract_edge,
-    cycle_basis,
     format_graph,
     generate_chain,
     generate_cycle,
     generate_flower,
     generate_theta,
     graph_to_json,
-    hermite_normal_form,
+    parse_graph,
+)
+from graphkt.exact_linalg import hermite_normal_form
+from graphkt.multigraph import (
+    betti_number,
+    boundary,
+    classify_end_edges,
+    contract_edge,
+    cycle_basis,
     is_connected,
     is_stable,
-    parse_graph,
     spanning_tree,
     valences,
 )

@@ -1,4 +1,5 @@
-from graphkt import betti_number, generate_flower, generate_theta, is_connected
+from graphkt import generate_flower, generate_theta
+from graphkt.multigraph import betti_number, is_connected
 from graphkt.sweep import (
     SweepConfig,
     canonical_key,
@@ -78,3 +79,20 @@ class TestRunSweep:
         report = run_sweep(SweepConfig(max_vertices=2, max_edges=3), max_failures=1)
         assert not report.ok
         assert report.failures[0].graph_text.startswith("vertices")
+
+    def test_mutant_behind_one_minus_edge_matrix_detected(self, monkeypatch):
+        # the same flip where 1 - A is built must trip the Smith-form checks
+        import graphkt.edge_operator as edge_mod
+
+        honest = edge_mod.edge_matrix
+
+        def lying(G):
+            A = honest(G)
+            if len(A) >= 2:
+                A[0][1] ^= 1
+            return A
+
+        monkeypatch.setattr(edge_mod, "edge_matrix", lying)
+        report = run_sweep(SweepConfig(max_vertices=2, max_edges=3), max_failures=1)
+        assert not report.ok
+        assert report.failures[0].check in ("snf_diagonal", "ktheory_groups")
