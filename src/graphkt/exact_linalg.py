@@ -2,8 +2,8 @@
 
 Everything here runs on Python's arbitrary-precision integers; no
 intermediate step may overflow or round.  Matrices are lists of row lists.
-Elementary row/column operations are recorded as tuples so reductions can
-be replayed and audited:
+Elementary row/column operations are recorded as tuples, and
+``apply_operation`` is the one place that says what each one does:
 
     ("row_add", dst, src, k)   row[dst] += k * row[src]
     ("row_swap", i, j)
@@ -11,12 +11,18 @@ be replayed and audited:
     ("col_add", dst, src, k)   col[dst] += k * col[src]
     ("col_swap", i, j)
     ("col_neg", i)
+
+A Smith reduction keeps only its diagonal form and this log, which is the
+one record of the transform: the unimodular witnesses are replayed from it
+when first read (the row operations on the identity give x, the column
+operations y), so every check of x * m * y = d also checks the log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import TheoremViolation
@@ -28,6 +34,7 @@ __all__ = [
     "mat_mul",
     "mat_vec",
     "determinant",
+    "apply_operation",
     "apply_operations",
     "apply_row_operations_to_vector",
     "operations_to_text",
@@ -111,50 +118,56 @@ def determinant(M):
     return sign * a[n - 1][n - 1]
 
 
+def apply_operation(A, op):
+    """Apply one recorded operation to the matrix A in place."""
+    kind = op[0]
+    if kind == "row_add":
+        _, d, s, k = op
+        A[d] = [x + k * y for x, y in zip(A[d], A[s])]
+    elif kind == "row_swap":
+        _, i, j = op
+        A[i], A[j] = A[j], A[i]
+    elif kind == "row_neg":
+        A[op[1]] = [-x for x in A[op[1]]]
+    elif kind == "col_add":
+        _, d, s, k = op
+        for row in A:
+            v = row[s]
+            if v:  # most entries of a sparse column are zero
+                row[d] += k * v
+    elif kind == "col_swap":
+        _, i, j = op
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+    elif kind == "col_neg":
+        j = op[1]
+        for row in A:
+            row[j] = -row[j]
+    else:
+        raise ValueError(f"unknown operation {op!r}")
+
+
+def _replay_side(A, ops, side):
+    """Apply in place only the operations acting on one side of A, "row_"
+    (from the left) or "col_" (from the right); return A."""
+    for op in ops:
+        if op[0].startswith(side):
+            apply_operation(A, op)
+    return A
+
+
 def apply_operations(M, ops):
     """Replay recorded row and column operations on a copy of M."""
     A = [list(row) for row in M]
     for op in ops:
-        kind = op[0]
-        if kind == "row_add":
-            _, d, s, k = op
-            A[d] = [x + k * y for x, y in zip(A[d], A[s])]
-        elif kind == "row_swap":
-            _, i, j = op
-            A[i], A[j] = A[j], A[i]
-        elif kind == "row_neg":
-            A[op[1]] = [-x for x in A[op[1]]]
-        elif kind == "col_add":
-            _, d, s, k = op
-            for row in A:
-                row[d] += k * row[s]
-        elif kind == "col_swap":
-            _, i, j = op
-            for row in A:
-                row[i], row[j] = row[j], row[i]
-        elif kind == "col_neg":
-            for row in A:
-                row[op[1]] = -row[op[1]]
-        else:
-            raise ValueError(f"unknown operation {op!r}")
+        apply_operation(A, op)
     return A
 
 
 def apply_row_operations_to_vector(v, ops):
-    """Replay only the row operations on a vector; column operations act on
-    the other side and leave it untouched."""
-    b = list(v)
-    for op in ops:
-        kind = op[0]
-        if kind == "row_add":
-            _, d, s, k = op
-            b[d] += k * b[s]
-        elif kind == "row_swap":
-            _, i, j = op
-            b[i], b[j] = b[j], b[i]
-        elif kind == "row_neg":
-            b[op[1]] = -b[op[1]]
-    return b
+    """Replay only the row operations on a vector, held as a one-column
+    matrix; column operations act on the other side and leave it untouched."""
+    return [row[0] for row in _replay_side([[x] for x in v], ops, "row_")]
 
 
 def operations_to_text(ops):
@@ -162,29 +175,38 @@ def operations_to_text(ops):
     lines = []
     for op in ops:
         kind = op[0]
+        axis = "R" if kind.startswith("row_") else "C"
         if kind in ("row_add", "col_add"):
             _, d, s, k = op
-            axis = "R" if kind == "row_add" else "C"
             lines.append(f"{axis}{d} += {k}*{axis}{s}")
         elif kind in ("row_swap", "col_swap"):
             _, i, j = op
-            axis = "R" if kind == "row_swap" else "C"
             lines.append(f"swap {axis}{i} {axis}{j}")
-        else:
-            axis = "R" if kind == "row_neg" else "C"
+        elif kind in ("row_neg", "col_neg"):
             lines.append(f"negate {axis}{op[1]}")
+        else:
+            raise ValueError(f"unknown operation {op!r}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass(frozen=True)
 class SmithDecomposition:
     """x * m * y = d with x, y unimodular and d diagonal with positive
-    entries each dividing the next, zeros trailing."""
+    entries each dividing the next, zeros trailing.  ``operations`` is the
+    one record of the reduction; x and y are replayed from it when first
+    read."""
 
-    x: list
     d: list
-    y: list
     operations: tuple
+
+    @cached_property
+    def x(self):
+        return _replay_side(identity_matrix(len(self.d)), self.operations, "row_")
+
+    @cached_property
+    def y(self):
+        cols = len(self.d[0]) if self.d else 0
+        return _replay_side(identity_matrix(cols), self.operations, "col_")
 
     @property
     def diagonal(self):
@@ -208,43 +230,11 @@ def smith_normal_form(M):
         if len(row) != cols:
             raise ValueError("matrix rows must have equal length")
     D = [list(map(int, row)) for row in M]
-    X = identity_matrix(rows)
-    Y = identity_matrix(cols)
     ops = []
 
-    def row_add(dst, src, k):
-        D[dst] = [a + k * b for a, b in zip(D[dst], D[src])]
-        X[dst] = [a + k * b for a, b in zip(X[dst], X[src])]
-        ops.append(("row_add", dst, src, k))
-
-    def row_swap(i, j):
-        if i == j:
-            return
-        D[i], D[j] = D[j], D[i]
-        X[i], X[j] = X[j], X[i]
-        ops.append(("row_swap", i, j))
-
-    def row_neg(i):
-        D[i] = [-a for a in D[i]]
-        X[i] = [-a for a in X[i]]
-        ops.append(("row_neg", i))
-
-    def col_add(dst, src, k):
-        for W in (D, Y):
-            for r in W:
-                v = r[src]
-                if v:  # most entries of a sparse column are zero
-                    r[dst] += k * v
-        ops.append(("col_add", dst, src, k))
-
-    def col_swap(i, j):
-        if i == j:
-            return
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in Y:
-            r[i], r[j] = r[j], r[i]
-        ops.append(("col_swap", i, j))
+    def record(*op):
+        apply_operation(D, op)
+        ops.append(op)
 
     t = 0
     limit = min(rows, cols)
@@ -265,11 +255,13 @@ def smith_normal_form(M):
                 break
         if best is None:
             break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
+        if best[0] != t:
+            record("row_swap", t, best[0])
+        if best[1] != t:
+            record("col_swap", t, best[1])
         while True:
             if D[t][t] < 0:
-                row_neg(t)
+                record("row_neg", t)
             pivot = D[t][t]
             moved = False
             for i in range(t + 1, rows):
@@ -277,9 +269,9 @@ def smith_normal_form(M):
                 if v:
                     q = v // pivot
                     if q:
-                        row_add(i, t, -q)
+                        record("row_add", i, t, -q)
                     if D[i][t]:  # 0 < remainder < pivot: better pivot found
-                        row_swap(t, i)
+                        record("row_swap", t, i)
                         moved = True
                         break
             if moved:
@@ -289,9 +281,9 @@ def smith_normal_form(M):
                 if v:
                     q = v // pivot
                     if q:
-                        col_add(j, t, -q)
+                        record("col_add", j, t, -q)
                     if D[t][j]:
-                        col_swap(t, j)
+                        record("col_swap", t, j)
                         moved = True
                         break
             if moved:
@@ -307,9 +299,9 @@ def smith_normal_form(M):
                     break
             if violator is None:
                 break
-            row_add(t, violator, 1)
+            record("row_add", t, violator, 1)
         t += 1
-    return SmithDecomposition(X, D, Y, tuple(ops))
+    return SmithDecomposition(D, tuple(ops))
 
 
 def hermite_normal_form(M):

@@ -5,10 +5,11 @@ the cokernel of 1 - A^t gives the degree-zero group, the kernel of the
 operator (the right kernel of 1 - A^t, since the operator acts on column
 vectors as the transpose of A) gives the degree-one group.  The order of
 the unit class is the least positive lam with lam * (1, ..., 1) in the
-image of 1 - A.  One Smith form X (1 - A) Y = D per graph feeds all three:
-the degree-zero group is read off D, the kernel lattice is spanned by the
-rows of X at the zero positions of D (X is unimodular and X (1 - A) = D Y^-1,
-so those rows span {v : v (1 - A) = 0}), and the unit solve reuses X and Y.
+image of 1 - A.  One Smith form X (1 - A) Y = D per graph, with X and Y
+replayed from its operation log, feeds all three: the degree-zero group is
+read off D, the kernel lattice is spanned by the rows of X at the zero
+positions of D (X is unimodular and X (1 - A) = D Y^-1, so those rows span
+{v : v (1 - A) = 0}), and the unit solve reuses X and Y.
 A second, independent reduction of 1 - A^t cross-checks the degree-zero
 group.  Identities that must hold between independently computed
 quantities are re-verified at runtime and raise TheoremViolation on
@@ -31,6 +32,7 @@ from .edge_operator import (
 from .errors import DomainError, TheoremViolation
 from .exact_linalg import (
     AbelianGroup,
+    apply_operation,
     cokernel,
     hermite_normal_form,
     kernel_basis,
@@ -227,30 +229,14 @@ def contraction_reduce(G, rng=None):
     m = len(G.edges)
     two_m = 2 * m
     M = one_minus_edge_matrix(G)
-    b = [1] * two_m
+    ones = [[1] for _ in range(two_m)]  # the ones-image, as one column
     ops = []
 
-    def row_add(dst, src, k=1):
-        M[dst] = [x + k * y for x, y in zip(M[dst], M[src])]
-        b[dst] += k * b[src]
-        ops.append(("row_add", dst, src, k))
-
-    def col_add(dst, src, k=1):
-        for row in M:
-            row[dst] += k * row[src]
-        ops.append(("col_add", dst, src, k))
-
-    def row_swap(i, j):
-        if i != j:
-            M[i], M[j] = M[j], M[i]
-            b[i], b[j] = b[j], b[i]
-            ops.append(("row_swap", i, j))
-
-    def col_swap(i, j):
-        if i != j:
-            for row in M:
-                row[i], row[j] = row[j], row[i]
-            ops.append(("col_swap", i, j))
+    def record(*op):
+        apply_operation(M, op)
+        if op[0].startswith("row_"):
+            apply_operation(ones, op)
+        ops.append(op)
 
     H = G
     orig = list(range(m))  # H edge index -> original edge index
@@ -275,13 +261,13 @@ def contraction_reduce(G, rng=None):
             if k == j or k == j + m_h:
                 continue
             if t == u:
-                row_add(to_orig(k), gamma)
+                record("row_add", to_orig(k), gamma, 1)
             elif t == v:
-                row_add(to_orig(k), gamma_bar)
+                record("row_add", to_orig(k), gamma_bar, 1)
         for source in (gamma, gamma_bar):
             for f in range(two_m):
                 if f != source and M[source][f]:
-                    col_add(f, source, -M[source][f])
+                    record("col_add", f, source, -M[source][f])
         frozen.extend((gamma, gamma_bar))
         contraction_order.append(gamma)
 
@@ -290,25 +276,25 @@ def contraction_reduce(G, rng=None):
         del sizes[hi]
         H = contract_edge(H, j)
         orig.pop(j)
-        _check_contraction_state(M, b, H, orig, m, frozen, sizes)
+        _check_contraction_state(M, ones, H, orig, m, frozen, sizes)
 
     # single-vertex block: surviving loops, both orientations
     loops = orig
     loops_bar = [x + m for x in loops]
     for i in range(g):
-        row_add(loops_bar[i], loops[i], -1)
+        record("row_add", loops_bar[i], loops[i], -1)
     for i in range(g):
-        col_add(loops_bar[i], loops[i], -1)
+        record("col_add", loops_bar[i], loops[i], -1)
     for j in range(1, g):
-        col_add(loops[j], loops[0], -1)
+        record("col_add", loops[j], loops[0], -1)
     for i in range(g - 1):
-        row_add(loops[g - 1], loops[i], 1)
+        record("row_add", loops[g - 1], loops[i], 1)
     for i in range(1, g - 1):
-        row_add(loops[0], loops[i], 1)
+        record("row_add", loops[0], loops[i], 1)
     if g >= 3:
-        col_add(loops[0], loops[g - 1], -(g - 2))
+        record("col_add", loops[0], loops[g - 1], -(g - 2))
     for i in range(1, g - 1):
-        col_add(loops[0], loops[i], 1)
+        record("col_add", loops[0], loops[i], 1)
 
     # sort: units, then the generator of the torsion part, then zeros
     row_order = sorted(frozen + loops[: g - 1]) + [loops[g - 1]] + sorted(loops_bar)
@@ -321,13 +307,13 @@ def contraction_reduce(G, rng=None):
     for p, want in enumerate(row_order):
         q = current.index(want)
         if q != p:
-            row_swap(p, q)
+            record("row_swap", p, q)
             current[p], current[q] = current[q], current[p]
     current = list(range(two_m))
     for p, want in enumerate(col_order):
         q = current.index(want)
         if q != p:
-            col_swap(p, q)
+            record("col_swap", p, q)
             current[p], current[q] = current[q], current[p]
 
     diag = [M[i][i] for i in range(two_m)]
@@ -339,6 +325,7 @@ def contraction_reduce(G, rng=None):
         and not any(diag[two_m - g :])
     ):
         raise TheoremViolation("the reduced diagonal must be units, g - 1, then g zeros")
+    b = [row[0] for row in ones]
     if b[two_m - g - 1] != g * n_orig or any(b[two_m - g :]):
         raise TheoremViolation("the ones-image must end with g * |V| and g zeros")
     return ReductionTranscript(
@@ -354,8 +341,8 @@ def contraction_reduce(G, rng=None):
 
 def _check_contraction_state(M, b, H, orig, m, frozen, sizes):
     # Frozen rows and columns must be unit vectors; the active submatrix
-    # must equal 1 - A of the contracted graph; the running ones-image on
-    # an active row counts the original vertices merged into its terminus.
+    # must equal 1 - A of the contracted graph; the running ones-image (a
+    # one-column matrix b) on an active row counts the original vertices merged into its terminus.
     m_h = len(H.edges)
     ends = oriented_edges(H)
     active = [orig[k] if k < m_h else orig[k - m_h] + m for k in range(2 * m_h)]
@@ -369,7 +356,7 @@ def _check_contraction_state(M, b, H, orig, m, frozen, sizes):
             if M[r][c] != (1 if k1_ == k2_ else 0) - A_h[k1_][k2_]:
                 raise TheoremViolation("the active block must be 1 - A of the contracted graph")
     for k, r in enumerate(active):
-        if b[r] != sizes[ends[k][1]]:
+        if b[r][0] != sizes[ends[k][1]]:
             raise TheoremViolation("the ones-image must count the vertices merged into a terminus")
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -88,6 +89,27 @@ class TestInvariants:
 
         monkeypatch.setattr(cli_mod, "ktheory_report", boom)
         assert main(["invariants", flower3]) == 3
+
+    def test_forced_mismatch_exits_3_under_optimize(self, flower3):
+        # the transposed cross-check disagrees with the main reduction; the
+        # mismatch must not rest on an assert that python -O strips
+        script = textwrap.dedent(
+            f"""
+            import sys
+            import graphkt.ktheory
+            from graphkt.cli import main
+            from graphkt.exact_linalg import AbelianGroup
+
+            assert False, "this script must run under python -O"
+            graphkt.ktheory.cokernel = lambda M: AbelianGroup(0)
+            sys.exit(main(["invariants", {flower3!r}]))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "theorem violation: cokernel" in proc.stderr
 
 
 class TestClassify:
@@ -199,6 +221,23 @@ class TestVerify:
         code = main(["verify", "--max-vertices", "2", "--max-edges", "2"])
         assert code == 5
         assert "counterexample" in capsys.readouterr().err
+
+    def test_theorem_violation_in_check_exits_5(self, capsys, monkeypatch):
+        import graphkt.edge_operator as edge_mod
+
+        honest = edge_mod.edge_matrix
+
+        def lying(G):
+            A = honest(G)
+            if len(A) >= 2:
+                A[0][1] ^= 1
+            return A
+
+        monkeypatch.setattr(edge_mod, "edge_matrix", lying)
+        code, payload = run_json(capsys, ["verify", "--max-vertices", "2", "--max-edges", "3"])
+        assert code == 5
+        cycle = [f for f in payload["failures"] if f["check"] == "cycle_space_lemma"]
+        assert cycle and cycle[0]["graph"].startswith("vertices")
 
 
 def test_module_entry_point(tmp_path):

@@ -114,6 +114,7 @@ class TestSmith:
     @given(int_matrices())
     def test_properties(self, M):
         snf = smith_normal_form(M)
+        assert apply_operations(M, snf.operations) == snf.d
         assert mat_mul(mat_mul(snf.x, M), snf.y) == snf.d
         assert abs(determinant(snf.x)) == 1
         assert abs(determinant(snf.y)) == 1
@@ -156,6 +157,8 @@ class TestSmith:
         assert apply_operations(M, snf.operations) == snf.d
         text = operations_to_text(snf.operations)
         assert len(text.splitlines()) == len(snf.operations)
+        with pytest.raises(ValueError, match="unknown operation"):
+            operations_to_text([("row_scale", 0, 2)])
 
 
 # --- Hermite normal form ---------------------------------------------------
@@ -271,10 +274,13 @@ class TestSolveMinScalar:
         assert solve_min_scalar(M, b, smith_normal_form(M)) == solve_min_scalar(M, b)
 
     def test_tampered_decomposition_raises(self):
-        # negating Y negates the witness, so M x = -lam * b != lam * b
+        # negating every column in the log negates the replayed y and so the
+        # witness: M x = -lam * b != lam * b
         M = one_minus_edge_matrix(generate_flower(3))
         snf = smith_normal_form(M)
-        bad = dataclasses.replace(snf, y=[[-v for v in row] for row in snf.y])
+        negate = tuple(("col_neg", j) for j in range(len(M)))
+        bad = dataclasses.replace(snf, operations=snf.operations + negate)
+        assert bad.y == [[-v for v in row] for row in snf.y]
         with pytest.raises(TheoremViolation, match="witness"):
             solve_min_scalar(M, [1] * len(M), bad)
 
@@ -290,7 +296,8 @@ class TestSolveMinScalar:
             assert False, "this script must run under python -O"
             M = one_minus_edge_matrix(generate_flower(3))
             snf = smith_normal_form(M)
-            bad = dataclasses.replace(snf, y=[[-v for v in row] for row in snf.y])
+            negate = tuple(("col_neg", j) for j in range(len(M)))
+            bad = dataclasses.replace(snf, operations=snf.operations + negate)
             try:
                 solve_min_scalar(M, [1] * len(M), bad)
             except TheoremViolation:

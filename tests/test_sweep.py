@@ -96,3 +96,22 @@ class TestRunSweep:
         report = run_sweep(SweepConfig(max_vertices=2, max_edges=3), max_failures=1)
         assert not report.ok
         assert report.failures[0].check in ("snf_diagonal", "ktheory_groups")
+
+    def test_theorem_violation_in_check_recorded(self, monkeypatch):
+        # a library cross-check that raises inside a check is that check's
+        # counterexample; it must not escape the sweep
+        import graphkt.edge_operator as edge_mod
+
+        honest = edge_mod.edge_matrix
+
+        def lying(G):
+            A = honest(G)
+            if len(A) >= 2:
+                A[0][1] ^= 1
+            return A
+
+        monkeypatch.setattr(edge_mod, "edge_matrix", lying)
+        report = run_sweep(SweepConfig(max_vertices=2, max_edges=3))
+        failures = {(f.check, f.message) for f in report.failures}
+        assert ("cycle_space_lemma", "cycle image must be annihilated by 1 - T") in failures
+        assert ("reduction_transcript", "the contraction reduction must end diagonal") in failures
