@@ -16,14 +16,17 @@ A Smith reduction keeps only its diagonal form and this log, which is the
 one record of the transform: the unimodular witnesses are replayed from it
 when first read (the row operations on the identity give x, the column
 operations y), so every check of x * m * y = d also checks the log.
+
+``reversed_charpoly`` gives det(1 - uM) from Hessenberg reductions modulo
+primes below 2^61, as many as the Hadamard bound ``charpoly_bound`` needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
+from functools import cache, cached_property
+from math import gcd, isqrt, lcm
 
 from .errors import TheoremViolation
 
@@ -46,12 +49,12 @@ __all__ = [
     "cokernel",
     "solve_min_scalar",
     "poly_trim",
-    "poly_add",
     "poly_mul",
     "poly_pow",
     "poly_eval",
     "poly_divexact",
     "poly_matrix_det",
+    "reversed_charpoly",
 ]
 
 
@@ -473,16 +476,6 @@ def poly_trim(p):
     return p
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly_trim(out)
-
-
 def poly_mul(p, q):
     if not p or not q:
         return []
@@ -572,3 +565,69 @@ def poly_matrix_det(P):
             raise ValueError("interpolation produced a non-integer coefficient")
         out.append(int(f))
     return poly_trim(out)
+
+
+def charpoly_bound(M):
+    """B > |c_k| for every coefficient c_k of det(1 - uM): c_k sums principal
+    k-minors, so by Hadamard |c_k| <= e_k of the row norms, here rounded up."""
+    e = [1]
+    for row in M:
+        q = isqrt(sum(v * v for v in row) << 32) + 1  # q >= 2^16 |row|
+        e = [a + q * b for a, b in zip(e + [0], [0] + e)]
+    return max(c >> 16 * k for k, c in enumerate(e)) + 1
+
+
+@cache
+def prev_prime(n):
+    """The largest prime below n (None below 3), memoized: a strong probable-prime
+    test to the prime bases up to 37, which is exact below 3.3 * 10**24."""
+    while n > 2:
+        n -= 1
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        xs = (pow(a, d, n) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37) if a % n)
+        if all(x == 1 or any(pow(x, 1 << r, n) == n - 1 for r in range(s)) for x in xs):
+            return n
+
+
+def charpoly_mod(M, p):
+    """det(1 - uM) mod p, lowest degree first (Cohen, GTM 138, Alg. 2.2.9)."""
+    n = len(M)
+    H = [[v % p for v in row] for row in M]
+    for c in range(1, n - 1):
+        k = next((i for i in range(c, n) if H[i][c - 1]), None)
+        if k is None:
+            continue
+        H[k], H[c] = H[c], H[k]
+        for row in H:
+            row[k], row[c] = row[c], row[k]
+        # row i -= u * row c clears column c - 1; column c += u * column i undoes it
+        inv = pow(H[c][c - 1], -1, p)
+        us = [(i, H[i][c - 1] * inv % p) for i in range(c + 1, n) if H[i][c - 1]]
+        for i, u in us:
+            H[i] = [(a - u * b) % p for a, b in zip(H[i], H[c])]
+        for row in H:
+            row[c] = (row[c] + sum([u * row[i] for i, u in us])) % p
+    # P[c] = det(x - H[:c, :c]) lowest degree first; t = H[i+1][i] ... H[c][c-1]
+    P = [[1]]
+    for c in range(n):
+        new, t = [0] + P[c], 1
+        for i in range(c, -1, -1):
+            w = H[i][c] * t % p
+            new[: i + 1] = [a - w * b for a, b in zip(new, P[i])]
+            t = t * H[i][i - 1] % p  # unused after i = 0
+        P.append([v % p for v in new])
+    return P[n][::-1]
+
+
+def reversed_charpoly(M):
+    """det(1 - uM) for a square integer matrix M, exactly, lowest degree first."""
+    bound = charpoly_bound(M)
+    out, modulus, p = [0] * (len(M) + 1), 1, 1 << 61
+    while modulus <= 2 * bound:
+        p = prev_prime(p)
+        inv = pow(modulus, -1, p)
+        out = [x + modulus * ((r - x) * inv % p) for x, r in zip(out, charpoly_mod(M, p))]
+        modulus *= p
+    return poly_trim([x - modulus if 2 * x > modulus else x for x in out])

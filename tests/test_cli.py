@@ -159,6 +159,35 @@ class TestZeta:
     def test_tree_exits_2(self, capsys, tree):
         assert main(["zeta", tree]) == 2
 
+    def test_mismatch_exits_3(self, capsys, flower3, monkeypatch):
+        import graphkt.ihara_zeta as zeta_mod
+
+        monkeypatch.setattr(zeta_mod, "ihara_rhs", lambda G: [1])
+        assert main(["zeta", flower3]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "theorem violation: edge and vertex zeta" in captured.err
+
+    def test_forced_mismatch_exits_3_under_optimize(self, flower3):
+        # the vertex side disagrees with the edge side; the mismatch must
+        # not rest on an assert that python -O strips
+        script = textwrap.dedent(
+            f"""
+            import sys
+            import graphkt.ihara_zeta
+            from graphkt.cli import main
+
+            assert False, "this script must run under python -O"
+            graphkt.ihara_zeta.ihara_rhs = lambda G: [1]
+            sys.exit(main(["zeta", {flower3!r}]))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "theorem violation: edge and vertex zeta" in proc.stderr
+
 
 class TestGenerate:
     def test_flower_to_stdout(self, capsys):

@@ -11,11 +11,12 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from graphkt import generate_flower, generate_theta
-from graphkt.edge_operator import one_minus_edge_matrix
+from graphkt.edge_operator import edge_matrix, one_minus_edge_matrix
 from graphkt.errors import TheoremViolation
 from graphkt.exact_linalg import (
     AbelianGroup,
     apply_operations,
+    charpoly_bound,
     cokernel,
     determinant,
     hermite_normal_form,
@@ -24,16 +25,19 @@ from graphkt.exact_linalg import (
     mat_mul,
     mat_vec,
     operations_to_text,
-    poly_add,
     poly_divexact,
     poly_eval,
     poly_matrix_det,
     poly_mul,
+    poly_trim,
+    prev_prime,
+    reversed_charpoly,
     smith_normal_form,
     solve_min_scalar,
     transpose,
     xgcd,
 )
+from graphkt.ihara_zeta import ihara_rhs
 
 from .strategies import int_matrices
 
@@ -53,6 +57,16 @@ def cofactor_det(M):
             minor = [row[:j] + row[j + 1 :] for row in M[1:]]
             total += (-1) ** j * M[0][j] * cofactor_det(minor)
     return total
+
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    out = [0] * n
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    return poly_trim(out)
 
 
 def cofactor_poly_det(P):
@@ -289,7 +303,7 @@ class TestSolveMinScalar:
             """
             import dataclasses, sys
             from graphkt import generate_flower
-            from graphkt.edge_operator import one_minus_edge_matrix
+            from graphkt.edge_operator import edge_matrix, one_minus_edge_matrix
             from graphkt.errors import TheoremViolation
             from graphkt.exact_linalg import smith_normal_form, solve_min_scalar
 
@@ -379,10 +393,38 @@ class TestPolynomials:
             ]
             for _ in range(n)
         ]
-        from graphkt.exact_linalg import poly_trim
-
         P = [[poly_trim(e) for e in row] for row in P]
         assert poly_matrix_det(P) == poly_trim(cofactor_poly_det(P))
+
+
+class TestCharpoly:
+    def test_primes_follow_sympy_prevprime(self):
+        from sympy import prevprime
+
+        ours = theirs = 1 << 61
+        for _ in range(12):
+            ours, theirs = prev_prime(ours), prevprime(theirs)
+            assert ours == theirs
+
+    def test_small_primes(self):
+        chain = [37]
+        while chain[-1] is not None:
+            chain.append(prev_prime(chain[-1]))
+        assert chain == [37, 31, 29, 23, 19, 17, 13, 11, 7, 5, 3, 2, None]
+
+    @pytest.mark.parametrize("g", range(1, 21))
+    def test_bound_holds_on_flowers(self, g):
+        # a flower's rows are the densest for its size: 2g - 1 ones each
+        G = generate_flower(g)
+        assert max(abs(c) for c in ihara_rhs(G)) < charpoly_bound(edge_matrix(G))
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_against_sympy(self, data):
+        n = data.draw(st.integers(1, 5))
+        M = [[data.draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(n)]
+        expected = [int(c) for c in Matrix(M).charpoly().all_coeffs()]
+        assert reversed_charpoly(M) == poly_trim(expected)
 
 
 def test_transpose_roundtrip():
