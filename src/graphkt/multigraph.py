@@ -78,23 +78,30 @@ def _incidence(G):
     return inc
 
 
-def is_connected(G):
-    n = G.vertex_count
-    if n == 0:
+def edges_connect(n, edges):
+    """Whether the edges join all n vertices, by union-find.  A connected
+    graph has at least n - 1 edges, so fewer are refused before any
+    allocation."""
+    if n == 0 or n > len(edges) + 1:
         return False
-    inc = _incidence(G)
-    seen = [False] * n
-    seen[0] = True
-    count = 1
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for _, w in inc[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == n
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]  # path halving
+            x = root[x]
+        return x
+
+    for u, v in edges:
+        u, v = find(u), find(v)
+        if u != v:
+            root[u] = v
+            n -= 1
+    return n == 1
+
+
+def is_connected(G):
+    return edges_connect(G.vertex_count, G.edges)
 
 
 def require_connected(G):

@@ -269,6 +269,31 @@ class TestVerify:
         assert cycle and cycle[0]["graph"].startswith("vertices")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["invariants", "{p}"], ["zeta", "{p}"], ["classify", "{p}", "{p}", "--stable"],
+     ["classify", "{p}", "{p}", "--strict"]],
+)
+def test_huge_vertex_count_refused_before_allocation(tmp_path, command):
+    # a graph with fewer than |V| - 1 edges is refused before anything is
+    # built per vertex; the address-space limit turns a per-vertex
+    # allocation into a MemoryError instead of exhausting the host
+    import resource
+
+    path = tmp_path / "huge.graph"
+    path.write_text("vertices 1000000000\nedge 0 1\n")
+    limit = 1 << 30
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphkt"] + [arg.format(p=path) for arg in command],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: graph must be connected\n"
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "flower2.graph"
     path.write_text(format_graph(generate_flower(2)))

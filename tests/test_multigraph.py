@@ -95,6 +95,42 @@ class TestBetti:
             betti_number(Multigraph(4, ((0, 1), (2, 3))))
 
 
+def reachable(G):
+    """Vertices reachable from vertex 0, by repeated sweeps over the edges."""
+    seen = {0}
+    while True:
+        grown = seen | {w for u, v in G.edges for a, w in ((u, v), (v, u)) if a in seen}
+        if grown == seen:
+            return seen
+        seen = grown
+
+
+class TestConnected:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=9)
+        .map(lambda edges: Multigraph(n, tuple(edges)))
+    ))
+    def test_matches_reachability(self, G):
+        assert is_connected(G) == (len(reachable(G)) == G.vertex_count)
+
+    def test_empty_graph_not_connected(self):
+        assert not is_connected(Multigraph(0, ()))
+        assert is_connected(Multigraph(1, ()))
+
+    def test_too_few_edges_refused_before_allocation(self):
+        import tracemalloc
+
+        G = Multigraph(100_000, ((0, 1), (1, 2), (2, 3)))
+        tracemalloc.start()
+        try:
+            assert not is_connected(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000  # nothing per vertex
+
+
 class TestSpanningTree:
     def test_flower_empty(self):
         assert spanning_tree(generate_flower(2)) == set()

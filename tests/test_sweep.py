@@ -1,5 +1,12 @@
-from graphkt import generate_flower, generate_theta
-from graphkt.multigraph import betti_number, is_connected
+from collections import defaultdict
+from itertools import combinations, combinations_with_replacement, permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphkt import Multigraph, generate_flower, generate_theta
+from graphkt.multigraph import betti_number, is_connected, valences
 from graphkt.sweep import (
     SweepConfig,
     canonical_key,
@@ -7,6 +14,47 @@ from graphkt.sweep import (
     random_connected,
     run_sweep,
 )
+
+from .strategies import connected_multigraphs
+
+
+def brute_canonical_key(G):
+    """The oracle for canonical_key: the minimum over all n! vertex
+    relabellings of the sorted edge multiset."""
+    n = G.vertex_count
+    best = None
+    for perm in permutations(range(n)):
+        edges = sorted(
+            (perm[u], perm[v]) if perm[u] <= perm[v] else (perm[v], perm[u])
+            for u, v in G.edges
+        )
+        key = tuple(edges)
+        if best is None or key < best:
+            best = key
+    return (n, best)
+
+
+def connected_multisets(max_vertices, max_edges):
+    """Every connected edge multiset within the bounds, in the order
+    enumerate_connected generates them."""
+    for n in range(1, max_vertices + 1):
+        slots = [(u, v) for u in range(n) for v in range(u, n)]
+        for m in range(max(n - 1, 0), max_edges + 1):
+            for combo in combinations_with_replacement(slots, m):
+                G = Multigraph(n, combo)
+                if is_connected(G):
+                    yield G
+
+
+def brute_enumerate(max_vertices, max_edges):
+    seen = set()
+    out = []
+    for G in connected_multisets(max_vertices, max_edges):
+        key = brute_canonical_key(G)
+        if key not in seen:
+            seen.add(key)
+            out.append(G)
+    return out
 
 
 class TestEnumeration:
@@ -32,6 +80,55 @@ class TestEnumeration:
     def test_bounds_respected(self):
         for G in enumerate_connected(2, 3):
             assert G.vertex_count <= 2 and len(G.edges) <= 3
+
+    def test_same_list_as_brute_force(self):
+        assert enumerate_connected(4, 6) == brute_enumerate(4, 6)
+
+    @pytest.mark.parametrize(
+        "max_vertices, max_edges, classes",
+        [(4, 6, 283), (5, 6, 405), pytest.param(5, 7, 1177, marks=pytest.mark.slow)],
+    )
+    def test_class_counts(self, max_vertices, max_edges, classes):
+        assert len(enumerate_connected(max_vertices, max_edges)) == classes
+
+    def test_no_two_classes_isomorphic_under_networkx(self):
+        nx = pytest.importorskip("networkx")
+        buckets = defaultdict(list)  # only graphs with equal m and valences can be isomorphic
+        for G in enumerate_connected(4, 6):
+            H = nx.MultiGraph()
+            H.add_nodes_from(range(G.vertex_count))
+            H.add_edges_from(G.edges)
+            buckets[len(G.edges), tuple(sorted(valences(G)))].append(H)
+        for bucket in buckets.values():
+            for a, b in combinations(bucket, 2):
+                assert not nx.is_isomorphic(a, b)
+
+
+class TestCanonicalKey:
+    def test_equal_exactly_when_brute_keys_equal(self):
+        pairs = {(canonical_key(G), brute_canonical_key(G)) for G in connected_multisets(4, 5)}
+        refined = {key for key, _ in pairs}
+        brute = {key for _, key in pairs}
+        assert len(pairs) == len(refined) == len(brute)
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_multigraphs(max_vertices=6, max_edges=8), st.data())
+    def test_invariant_under_relabelling(self, G, data):
+        perm = data.draw(st.permutations(range(G.vertex_count)))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(G.edges), max_size=len(G.edges)))
+        edges = [
+            (perm[v], perm[u]) if flip else (perm[u], perm[v])
+            for (u, v), flip in zip(G.edges, flips)
+        ]
+        shuffled = data.draw(st.permutations(edges))
+        assert canonical_key(Multigraph(G.vertex_count, tuple(shuffled))) == canonical_key(G)
+
+    def test_regular_graph_with_one_cell(self):
+        # the 5-cycle refines to a single cell, so all 120 labellings are tried
+        cycle = Multigraph(5, tuple((i, (i + 1) % 5) for i in range(5)))
+        other = Multigraph(5, ((0, 2), (2, 4), (4, 1), (1, 3), (3, 0)))
+        assert canonical_key(cycle) == canonical_key(other)
+        assert canonical_key(cycle)[2] == brute_canonical_key(cycle)[1]
 
 
 class TestRandomMode:
@@ -96,6 +193,16 @@ class TestRunSweep:
         report = run_sweep(SweepConfig(max_vertices=2, max_edges=3), max_failures=1)
         assert not report.ok
         assert report.failures[0].check in ("snf_diagonal", "ktheory_groups")
+
+    def test_zeta_mismatch_fails_bass_identity_first(self, monkeypatch):
+        # the sweep's Bass check goes through zeta_report, which raises on
+        # an edge/vertex mismatch; that must be recorded as bass_identity
+        import graphkt.ihara_zeta as zeta_mod
+
+        monkeypatch.setattr(zeta_mod, "ihara_rhs", lambda G: [1])
+        report = run_sweep(SweepConfig(max_vertices=2, max_edges=3), max_failures=1)
+        assert report.failures[0].check == "bass_identity"
+        assert report.failures[0].message == "edge and vertex zeta polynomials disagree"
 
     def test_theorem_violation_in_check_recorded(self, monkeypatch):
         # a library cross-check that raises inside a check is that check's
