@@ -217,6 +217,29 @@ class SmithDecomposition:
             return []
         return [self.d[i][i] for i in range(min(len(self.d), len(self.d[0])))]
 
+    def _free(self, size):
+        """Positions below size where the diagonal is zero or missing."""
+        diag = self.diagonal
+        return [i for i in range(size) if i >= len(diag) or diag[i] == 0]
+
+    @property
+    def cokernel(self):
+        """Z^rows modulo the column span of m."""
+        return AbelianGroup.from_diagonal(self.diagonal, len(self.d))
+
+    @cached_property
+    def left_kernel(self):
+        """Hermite basis of {v : v m = 0}: x m = d y^-1, so the rows of x at
+        the free positions span it (rows of a unimodular x are independent)."""
+        return hermite_normal_form([self.x[i] for i in self._free(len(self.d))])[0]
+
+    @cached_property
+    def right_kernel(self):
+        """Hermite basis of {v : m v = 0}: m y = x^-1 d, so the columns of y
+        at the free positions span it."""
+        y = self.y
+        return hermite_normal_form([[row[j] for row in y] for j in self._free(len(y))])[0]
+
 
 def smith_normal_form(M):
     """Diagonalize an integer matrix by unimodular row/column operations.
@@ -369,18 +392,7 @@ def hermite_normal_form(M):
 def kernel_basis(M):
     """Basis rows (in Hermite normal form) of the integer right kernel
     {x : M x = 0}."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    if cols == 0:
-        return []
-    snf = smith_normal_form(M)
-    diag = snf.diagonal
-    free_cols = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]
-    if not free_cols:
-        return []
-    vecs = [[snf.y[i][j] for i in range(cols)] for j in free_cols]
-    H, _ = hermite_normal_form(vecs)
-    return [row for row in H if any(row)]
+    return smith_normal_form(M).right_kernel
 
 
 @dataclass(frozen=True)
@@ -419,12 +431,8 @@ class AbelianGroup:
 
 
 def cokernel(M):
-    """Z^n modulo the column span of the square matrix M."""
-    n = len(M)
-    if any(len(row) != n for row in M):
-        raise ValueError("square matrix required")
-    diag = smith_normal_form(M).diagonal
-    return AbelianGroup.from_diagonal(diag, n)
+    """Z^rows modulo the column span of M."""
+    return smith_normal_form(M).cokernel
 
 
 def solve_min_scalar(M, b, snf=None):

@@ -6,10 +6,10 @@ operator (the right kernel of 1 - A^t, since the operator acts on column
 vectors as the transpose of A) gives the degree-one group.  The order of
 the unit class is the least positive lam with lam * (1, ..., 1) in the
 image of 1 - A.  One Smith form X (1 - A) Y = D per graph, with X and Y
-replayed from its operation log, feeds all three: the degree-zero group is
-read off D, the kernel lattice is spanned by the rows of X at the zero
-positions of D (X is unimodular and X (1 - A) = D Y^-1, so those rows span
-{v : v (1 - A) = 0}), and the unit solve reuses X and Y.
+replayed from its operation log, feeds all three, through the readers of
+``exact_linalg.SmithDecomposition``: ``cokernel`` reads the degree-zero
+group off D, ``left_kernel`` spans {v : v (1 - A) = 0} by the rows of X at
+the zero positions of D, and the unit solve reuses X and Y.
 A second, independent reduction of 1 - A^t cross-checks the degree-zero
 group.  Identities that must hold between independently computed
 quantities are re-verified at runtime and raise TheoremViolation on
@@ -35,7 +35,6 @@ from .exact_linalg import (
     apply_operation,
     cokernel,
     hermite_normal_form,
-    kernel_basis,
     mat_vec,
     smith_normal_form,
     solve_min_scalar,
@@ -47,7 +46,7 @@ __all__ = [
     "k0",
     "k1",
     "phi",
-    "phi_image_equals_kernel",
+    "cycle_lattice",
     "g1_kernel_generators",
     "ReductionTranscript",
     "contraction_reduce",
@@ -71,30 +70,22 @@ def _require_genus(G, minimum, message=None):
 
 
 def _decompose(G):
-    """(M, snf, group): M = 1 - A, its Smith form, and the degree-zero
-    group read off the Smith diagonal.  The group is cross-checked against
-    the cokernel of 1 - A^t, which reduces the transpose independently
-    (first, so that only one reduction is held in memory at a time)."""
+    """(M, snf): M = 1 - A and its Smith form.  The degree-zero group read
+    off it is cross-checked against the cokernel of 1 - A^t, which reduces
+    the transpose independently (first, so that only one reduction is held
+    in memory at a time)."""
     M = one_minus_edge_matrix(G)
     transposed = cokernel(transpose(M))
     snf = smith_normal_form(M)
-    group = AbelianGroup.from_diagonal(snf.diagonal, len(M))
-    if group != transposed:
+    if snf.cokernel != transposed:
         raise TheoremViolation("cokernel must not depend on the transpose convention")
-    return M, snf, group
-
-
-def _kernel_rows(snf):
-    """Hermite basis of {v : v M = 0} = ker(M^t) from the Smith form of M:
-    the rows of X at the zero positions of the diagonal."""
-    H, _ = hermite_normal_form([snf.x[i] for i, d in enumerate(snf.diagonal) if d == 0])
-    return H
+    return M, snf
 
 
 def k0(G):
     """Cokernel of 1 - A^t on Z^(2m), cross-computed from 1 - A."""
     _require_genus(G, 1)
-    return _decompose(G)[2]
+    return _decompose(G)[1].cokernel
 
 
 def k1(G):
@@ -104,7 +95,7 @@ def k1(G):
     number for g >= 2 and 2 for g = 1.
     """
     _require_genus(G, 1)
-    basis = _kernel_rows(smith_normal_form(one_minus_edge_matrix(G)))
+    basis = smith_normal_form(one_minus_edge_matrix(G)).left_kernel
     return len(basis), basis
 
 
@@ -125,15 +116,12 @@ def phi(G, cycle):
     return out
 
 
-def phi_image_equals_kernel(G):
-    """Whether the lifted cycle lattice equals ker(1 - T), compared through
-    Hermite normal forms.  Expected true for every connected g >= 2 graph."""
+def cycle_lattice(G):
+    """Hermite basis of the lifted cycle lattice, the image of ``phi`` on the
+    cycle space; for a connected g >= 2 graph it equals ker(1 - T)."""
     _require_genus(G, 2, "the kernel identification is proven only for g >= 2")
-    rows = [phi(G, c) for c in cycle_basis(G)]
-    H, _ = hermite_normal_form(rows)
-    image = [row for row in H if any(row)]
-    kernel = kernel_basis(transpose(one_minus_edge_matrix(G)))
-    return image == kernel
+    H, _ = hermite_normal_form([phi(G, c) for c in cycle_basis(G)])
+    return [row for row in H if any(row)]
 
 
 def g1_kernel_generators(G):
@@ -463,8 +451,8 @@ def classify_stable(G1, G2):
 
 def _k0_and_unit_order(G):
     # one decomposition per graph, released before the next graph's
-    M, snf, group = _decompose(G)
-    return group, _unit_position(G, M, snf)[0]
+    M, snf = _decompose(G)
+    return snf.cokernel, _unit_position(G, M, snf)[0]
 
 
 def classify_strict(G1, G2):
@@ -521,8 +509,9 @@ class KTheoryReport:
 def ktheory_report(G):
     """Full invariant report with all cross-checks applied."""
     g = _require_genus(G, 1)
-    M, snf, group = _decompose(G)
-    basis = _kernel_rows(snf)
+    M, snf = _decompose(G)
+    group = snf.cokernel
+    basis = snf.left_kernel
     rank = len(basis)
     expected_group, expected_rank, _ = expected_invariants(G)
     if group != expected_group:

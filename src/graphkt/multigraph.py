@@ -54,10 +54,6 @@ class Multigraph:
                     f"edge endpoint out of range: ({u}, {v}) with {n} vertices"
                 )
 
-    @property
-    def edge_count(self):
-        return len(self.edges)
-
 
 def valences(G):
     """Vertex valences; a loop contributes 2 to its vertex."""

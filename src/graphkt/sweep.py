@@ -30,7 +30,6 @@ from .exact_linalg import (
     apply_row_operations_to_vector,
     determinant,
     hermite_normal_form,
-    kernel_basis,
     mat_mul,
     mat_vec,
     smith_normal_form,
@@ -81,7 +80,8 @@ def canonical_key(G):
     colours, once per edge) until the cell count stops growing.  A colour
     is a rank among the round's distinct signatures, never a label.  Cell k
     gets the next block of labels, and only in-cell permutations are tried.
-    Returns (n, each round's signatures, least sorted edge multiset)."""
+    Returns (n, least sorted edge multiset): the multiset is a relabelling of
+    G, so with n it fixes the class."""
     n = G.vertex_count
     nbrs, loops = [[] for _ in range(n)], [0] * n
     for u, v in G.edges:
@@ -91,10 +91,9 @@ def canonical_key(G):
             nbrs[u].append(v)
             nbrs[v].append(u)
     sigs = [(len(nbrs[v]), loops[v]) for v in range(n)]
-    rounds, cells, colour = [], 0, []
+    cells, colour = 0, []
     while True:
         distinct = sorted(set(sigs))
-        rounds.append(tuple(distinct))
         if len(distinct) == cells:
             break
         cells = len(distinct)
@@ -113,7 +112,7 @@ def canonical_key(G):
         sorted((a, b) if a <= b else (b, a) for a, b in ((lab[u], lab[v]) for u, v in edges))
         for lab in labellings
     )
-    return (n, tuple(rounds), tuple(best))
+    return (n, tuple(best))
 
 
 def enumerate_connected(max_vertices, max_edges):
@@ -188,16 +187,8 @@ class GraphChecks:
         return smith_normal_form(self.M)
 
     @cached_property
-    def group(self):  # cokernel of the Smith diagonal of 1 - A
-        return AbelianGroup.from_diagonal(self.snf.diagonal, len(self.M))
-
-    @cached_property
     def snf_transpose(self):
         return smith_normal_form(transpose(self.M))
-
-    @cached_property
-    def kernel(self):
-        return ktheory._kernel_rows(self.snf)
 
     @cached_property
     def expected(self):  # (K0, kernel rank, unit order) as the theorem states them
@@ -301,15 +292,16 @@ def check_ktheory_groups(ctx):
         return False
     g = ctx.g
     expected_group, expected_rank, _ = ctx.expected
-    _need(ctx.group == expected_group, f"degree-zero group {ctx.group} does not match g = {g}")
-    basis = ctx.kernel
+    group = ctx.snf.cokernel
+    _need(group == expected_group, f"degree-zero group {group} does not match g = {g}")
+    basis = ctx.snf.left_kernel
     rank = len(basis)
     _need(rank == expected_rank, f"kernel rank {rank} does not match g = {g}")
     Mt = transpose(ctx.M)
     for row in basis:
         _need(not any(mat_vec(Mt, row)), "kernel basis row not annihilated")
     _need(
-        basis == kernel_basis(Mt),
+        basis == ctx.snf_transpose.right_kernel,
         "kernel basis from the rows of X must equal the transposed route's",
     )
     return True
@@ -319,12 +311,12 @@ def check_cycle_space_lemma(ctx):
     if ctx.g < 2:
         return False
     _need(
-        ktheory.phi_image_equals_kernel(ctx.graph),
+        ktheory.cycle_lattice(ctx.graph) == ctx.snf_transpose.right_kernel,
         "lifted cycle lattice must equal the kernel lattice",
     )
     m = len(ctx.graph.edges)
     ends = classify_end_edges(ctx.graph)
-    for row in ctx.kernel:
+    for row in ctx.snf.left_kernel:
         for e in ends:
             _need(
                 row[e] == 0 and row[e + m] == 0,
@@ -391,7 +383,7 @@ def check_reduction_transcript(ctx):
     )
     _need(all(ones[i] == 0 for i in range(size - g, size)), "last g entries must vanish")
     _need(
-        AbelianGroup.from_diagonal(t.final_diagonal, size) == ctx.group,
+        AbelianGroup.from_diagonal(t.final_diagonal, size) == ctx.snf.cokernel,
         "transcript diagonal must match the smith diagonal canonically",
     )
     return True
@@ -402,18 +394,17 @@ def check_contraction_claim(ctx):
     nonloops = [e for e, (u, v) in enumerate(G.edges) if u != v]
     if not nonloops or ctx.g < 1:
         return False
-    size = len(ctx.M)
+    group = ctx.snf.cokernel
     for e in nonloops:
         M2 = one_minus_edge_matrix(contract_edge(G, e))
-        diag2 = smith_normal_form(M2).diagonal + [1, 1]
         _need(
-            AbelianGroup.from_diagonal(diag2, size) == ctx.group,
+            smith_normal_form(M2).cokernel == group,
             "contraction must split off a rank-2 unit block",
         )
     rng = random.Random(zlib.crc32(format_graph(G).encode()))
     shuffled = ktheory.contraction_reduce(G, rng=rng)
     _need(
-        AbelianGroup.from_diagonal(shuffled.final_diagonal, size) == ctx.group,
+        AbelianGroup.from_diagonal(shuffled.final_diagonal, len(ctx.M)) == group,
         "final diagonal must not depend on the contraction order",
     )
     return True
@@ -451,7 +442,7 @@ def check_convention_independence(ctx):
         "unit order must not depend on the transpose convention",
     )
     _need(
-        AbelianGroup.from_diagonal(ctx.snf_transpose.diagonal, len(ctx.M)) == ctx.group,
+        ctx.snf_transpose.cokernel == ctx.snf.cokernel,
         "smith diagonal must not depend on the transpose convention",
     )
     return True

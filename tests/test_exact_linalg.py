@@ -242,6 +242,45 @@ class TestKernel:
         assert len(basis) == cols - rank
 
 
+def check_smith_readers(M):
+    rows, cols = len(M), len(M[0])
+    snf = smith_normal_form(M)
+    basis = snf.right_kernel
+    assert basis == smith_normal_form(transpose(M)).left_kernel
+    for row in basis:
+        assert not any(mat_vec(M, row))
+    for row in snf.left_kernel:
+        assert not any(mat_vec(transpose(M), row))
+    rank = Matrix(M).rank()
+    assert len(basis) == cols - rank
+    assert len(snf.left_kernel) == rows - rank
+    assert snf.cokernel == AbelianGroup.from_diagonal(snf.diagonal, rows)
+    sym = sympy_snf(Matrix(M))
+    sym_diag = [int(sym[i, i]) for i in range(min(sym.shape))]
+    assert snf.cokernel == AbelianGroup.from_diagonal(sym_diag, rows)
+
+
+class TestSmithReaders:
+    @settings(max_examples=80)
+    @given(int_matrices())
+    def test_against_each_other_and_sympy(self, M):
+        check_smith_readers(M)
+
+    def test_one_row(self):
+        check_smith_readers([[1, 2, 3]])
+        snf = smith_normal_form([[1, 2, 3]])
+        assert snf.right_kernel == [[1, 1, -1], [0, 3, -2]]
+        assert snf.left_kernel == []
+        assert snf.cokernel == AbelianGroup(0)
+
+    def test_one_column(self):
+        check_smith_readers([[1], [2], [3]])
+        snf = smith_normal_form([[1], [2], [3]])
+        assert snf.left_kernel == [[1, 1, -1], [0, 3, -2]]
+        assert snf.right_kernel == []
+        assert snf.cokernel == AbelianGroup(2)
+
+
 class TestCokernel:
     def test_zero(self):
         assert cokernel([[0, 0], [0, 0]]) == AbelianGroup(2)
