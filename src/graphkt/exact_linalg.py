@@ -15,7 +15,9 @@ Elementary row/column operations are recorded as tuples, and
 A Smith reduction keeps only its diagonal form and this log, which is the
 one record of the transform: the unimodular witnesses are replayed from it
 when first read (the row operations on the identity give x, the column
-operations y), so every check of x * m * y = d also checks the log.
+operations y), so every check of x * m * y = d also checks the log.  The
+readers of a reduction never build x or y: they replay the log on only the
+vectors they need (kernel rows of x, kernel columns of y, x b and y z).
 
 ``reversed_charpoly`` gives det(1 - uM) from Hessenberg reductions modulo
 primes below 2^61, as many as the Hadamard bound ``charpoly_bound`` needs.
@@ -173,6 +175,32 @@ def apply_row_operations_to_vector(v, ops):
     return [row[0] for row in _replay_side([[x] for x in v], ops, "row_")]
 
 
+def _transposed(op):
+    """The column operation that multiplies a block from the right by the
+    elementary matrix E of a row operation op, or by E^t when op is a
+    column operation: a row v of the block becomes v E, or (E v^t)^t."""
+    kind = op[0]
+    if kind.endswith("_add"):
+        _, d, s, k = op
+        return ("col_add", s, d, k)
+    return ("col_" + kind[4:],) + op[1:]
+
+
+def _replay_transposed(block, ops, side):
+    """Replay the operations on one side, transposed and in reverse, on the
+    rows of block in place; return block.  With the unit rows e_i it gives
+    rows i of x (side "row_") or columns i of y (side "col_"); with one row
+    v it gives v x or (y v^t)^t."""
+    for op in reversed(ops):
+        if op[0].startswith(side):
+            apply_operation(block, _transposed(op))
+    return block
+
+
+def _unit_rows(positions, size):
+    return [[1 if j == i else 0 for j in range(size)] for i in positions]
+
+
 def operations_to_text(ops):
     """One audit line per recorded operation."""
     lines = []
@@ -230,15 +258,19 @@ class SmithDecomposition:
     @cached_property
     def left_kernel(self):
         """Hermite basis of {v : v m = 0}: x m = d y^-1, so the rows of x at
-        the free positions span it (rows of a unimodular x are independent)."""
-        return hermite_normal_form([self.x[i] for i in self._free(len(self.d))])[0]
+        the free positions span it (rows of a unimodular x are independent).
+        Only those rows are replayed; x itself is never built."""
+        rows = len(self.d)
+        block = _unit_rows(self._free(rows), rows)
+        return hermite_normal_form(_replay_transposed(block, self.operations, "row_"))[0]
 
     @cached_property
     def right_kernel(self):
         """Hermite basis of {v : m v = 0}: m y = x^-1 d, so the columns of y
-        at the free positions span it."""
-        y = self.y
-        return hermite_normal_form([[row[j] for row in y] for j in self._free(len(y))])[0]
+        at the free positions span it.  Only those columns are replayed."""
+        cols = len(self.d[0]) if self.d else 0
+        block = _unit_rows(self._free(cols), cols)
+        return hermite_normal_form(_replay_transposed(block, self.operations, "col_"))[0]
 
 
 def smith_normal_form(M):
@@ -249,6 +281,12 @@ def smith_normal_form(M):
     (a nonzero remainder yields a smaller pivot and restarts), and a
     divisibility violation in the remaining block is folded into the pivot
     row.  The recorded operations replay to the returned diagonal.
+
+    The clears are the bulk of the log, and each is applied only to the
+    entries it can change: a row clear to the nonzero entries of the pivot
+    row, a column clear to its one entry in the pivot row.  Every other
+    operation goes through ``apply_operation``, and replaying the log
+    through it gives the same diagonal form.
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
@@ -288,27 +326,37 @@ def smith_normal_form(M):
         while True:
             if D[t][t] < 0:
                 record("row_neg", t)
-            pivot = D[t][t]
+            pivot_row = D[t]
+            pivot = pivot_row[t]
+            # rows and columns before t are clear, so a row clear changes
+            # only the entries where row t is nonzero, from column t on
+            support = [(j, v) for j, v in enumerate(pivot_row[t:], t) if v]
             moved = False
             for i in range(t + 1, rows):
-                v = D[i][t]
+                row = D[i]
+                v = row[t]
                 if v:
                     q = v // pivot
                     if q:
-                        record("row_add", i, t, -q)
-                    if D[i][t]:  # 0 < remainder < pivot: better pivot found
+                        ops.append(("row_add", i, t, -q))
+                        for j, a in support:
+                            row[j] -= q * a
+                    if row[t]:  # 0 < remainder < pivot: better pivot found
                         record("row_swap", t, i)
                         moved = True
                         break
             if moved:
                 continue
+            # column t is now pivot * e_t, so a column clear changes only
+            # the entry it clears, in row t
             for j in range(t + 1, cols):
-                v = D[t][j]
+                v = pivot_row[j]
                 if v:
                     q = v // pivot
                     if q:
-                        record("col_add", j, t, -q)
-                    if D[t][j]:
+                        ops.append(("col_add", j, t, -q))
+                        pivot_row[j] = v - q * pivot
+                    if pivot_row[j]:
                         record("col_swap", t, j)
                         moved = True
                         break
@@ -451,8 +499,11 @@ def solve_min_scalar(M, b, snf=None):
         raise ValueError("vector length must match the matrix size")
     if snf is None:
         snf = smith_normal_form(M)
+    # M w = lam b exactly when d (y^-1 w) = lam (x b): solve d z = lam c for
+    # c = x b, then w = y z.  Both products are replayed from the log, so
+    # the transforms x and y are never built.
     diag = snf.diagonal
-    c = mat_vec(snf.x, b)
+    c = apply_row_operations_to_vector(b, snf.operations)
     lam = 1
     for i in range(n):
         d = diag[i] if i < len(diag) else 0
@@ -461,12 +512,12 @@ def solve_min_scalar(M, b, snf=None):
                 return None
         else:
             lam = lcm(lam, d // gcd(d, c[i]))
-    y = [0] * n
+    z = [0] * n
     for i in range(n):
         d = diag[i] if i < len(diag) else 0
         if d:
-            y[i] = lam * c[i] // d
-    x = mat_vec(snf.y, y)
+            z[i] = lam * c[i] // d
+    x = _replay_transposed([z], snf.operations, "col_")[0]
     if mat_vec(M, x) != [lam * v for v in b]:
         raise TheoremViolation("solver witness x must satisfy M x = lam * b")
     return lam, x

@@ -5,11 +5,12 @@ the cokernel of 1 - A^t gives the degree-zero group, the kernel of the
 operator (the right kernel of 1 - A^t, since the operator acts on column
 vectors as the transpose of A) gives the degree-one group.  The order of
 the unit class is the least positive lam with lam * (1, ..., 1) in the
-image of 1 - A.  One Smith form X (1 - A) Y = D per graph, with X and Y
-replayed from its operation log, feeds all three, through the readers of
+image of 1 - A.  One Smith form X (1 - A) Y = D per graph, kept as D and
+its operation log, feeds all three, through the readers of
 ``exact_linalg.SmithDecomposition``: ``cokernel`` reads the degree-zero
 group off D, ``left_kernel`` spans {v : v (1 - A) = 0} by the rows of X at
-the zero positions of D, and the unit solve reuses X and Y.
+the zero positions of D, and the unit solve uses X b and Y z.  The readers
+replay the log on those few vectors only; X and Y are never built.
 A second, independent reduction of 1 - A^t cross-checks the degree-zero
 group.  Identities that must hold between independently computed
 quantities are re-verified at runtime and raise TheoremViolation on
@@ -102,6 +103,11 @@ def k1(G):
 def phi(G, cycle):
     """Lift a cycle vector into the kernel of 1 - T: coefficient k on
     geometric edge i becomes +k on oriented index i and -k on its reversal."""
+    return _lift(G, cycle, transpose(one_minus_edge_matrix(G)))
+
+
+def _lift(G, cycle, Mt):
+    """``phi`` with 1 - A^t given as Mt, so that one build serves many cycles."""
     m = len(G.edges)
     if len(cycle) != m:
         raise DomainError("cycle vector length must equal the edge count")
@@ -111,7 +117,7 @@ def phi(G, cycle):
     for i, k in enumerate(cycle):
         out[i] = k
         out[m + i] = -k
-    if any(mat_vec(transpose(one_minus_edge_matrix(G)), out)):
+    if any(mat_vec(Mt, out)):
         raise TheoremViolation("cycle image must be annihilated by 1 - T")
     return out
 
@@ -120,7 +126,8 @@ def cycle_lattice(G):
     """Hermite basis of the lifted cycle lattice, the image of ``phi`` on the
     cycle space; for a connected g >= 2 graph it equals ker(1 - T)."""
     _require_genus(G, 2, "the kernel identification is proven only for g >= 2")
-    H, _ = hermite_normal_form([phi(G, c) for c in cycle_basis(G)])
+    Mt = transpose(one_minus_edge_matrix(G))
+    H, _ = hermite_normal_form([_lift(G, c, Mt) for c in cycle_basis(G)])
     return [row for row in H if any(row)]
 
 
@@ -141,7 +148,8 @@ def g1_kernel_generators(G):
             oriented[m + i] = 1
         elif k:
             raise TheoremViolation("fundamental cycle with non-unit coefficient")
-    lifted = phi(G, c)
+    Mt = transpose(one_minus_edge_matrix(G))
+    lifted = _lift(G, c, Mt)
 
     cycle_vertices = set()
     for i, (u, v) in enumerate(G.edges):
@@ -171,7 +179,6 @@ def g1_kernel_generators(G):
         else:
             second[m + i] += 1
 
-    Mt = transpose(one_minus_edge_matrix(G))
     if any(mat_vec(Mt, second)):
         raise TheoremViolation("outward-oriented generator must be annihilated by 1 - T")
     H, _ = hermite_normal_form([lifted, second])

@@ -202,6 +202,11 @@ class GraphChecks:
     def unit(self):
         return solve_min_scalar(self.M, [1] * len(self.M), self.snf)
 
+    @cached_property
+    def contractions(self):  # G with one non-loop edge contracted, for each such edge
+        G = self.graph
+        return [contract_edge(G, e) for e, (u, v) in enumerate(G.edges) if u != v]
+
 
 def check_graph_structure(ctx):
     G = ctx.graph
@@ -228,10 +233,7 @@ def check_graph_structure(ctx):
     else:
         _need(not ends, "no edges means no end edges")
     stable = is_stable(G)
-    for e, (u, v) in enumerate(G.edges):
-        if u == v:
-            continue
-        contracted = contract_edge(G, e)
+    for contracted in ctx.contractions:
         _need(is_connected(contracted), "contraction must preserve connectivity")
         _need(
             betti_number(contracted) == g
@@ -391,12 +393,11 @@ def check_reduction_transcript(ctx):
 
 def check_contraction_claim(ctx):
     G = ctx.graph
-    nonloops = [e for e, (u, v) in enumerate(G.edges) if u != v]
-    if not nonloops or ctx.g < 1:
+    if ctx.g < 1 or not ctx.contractions:
         return False
     group = ctx.snf.cokernel
-    for e in nonloops:
-        M2 = one_minus_edge_matrix(contract_edge(G, e))
+    for contracted in ctx.contractions:
+        M2 = one_minus_edge_matrix(contracted)
         _need(
             smith_normal_form(M2).cokernel == group,
             "contraction must split off a rank-2 unit block",

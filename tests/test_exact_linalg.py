@@ -1,8 +1,9 @@
 import dataclasses
+import random
 import subprocess
 import sys
 import textwrap
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from graphkt import generate_flower, generate_theta
+from graphkt import Multigraph, generate_flower, generate_theta
 from graphkt.edge_operator import edge_matrix, one_minus_edge_matrix
 from graphkt.errors import TheoremViolation
 from graphkt.exact_linalg import (
     AbelianGroup,
+    SmithDecomposition,
+    apply_operation,
     apply_operations,
     charpoly_bound,
     cokernel,
@@ -39,7 +42,7 @@ from graphkt.exact_linalg import (
 )
 from graphkt.ihara_zeta import ihara_rhs
 
-from .strategies import int_matrices
+from .strategies import connected_multigraphs, int_matrices
 
 
 # --- independent oracles ---------------------------------------------------
@@ -84,6 +87,120 @@ def cofactor_poly_det(P):
                 term = [-c for c in term]
             total = poly_add(total, term)
     return total
+
+
+def dense_smith_normal_form(M):
+    """The Smith reduction with every operation applied to the whole matrix
+    through ``apply_operation``: the oracle for the log of
+    ``smith_normal_form``, whose clears touch only the entries they change."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    for row in M:
+        if len(row) != cols:
+            raise ValueError("matrix rows must have equal length")
+    D = [list(map(int, row)) for row in M]
+    ops = []
+
+    def record(*op):
+        apply_operation(D, op)
+        ops.append(op)
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        # row-major scan for the first entry of least nonzero magnitude; a
+        # unit cannot be beaten, so the scan stops at the first one
+        best = None
+        best_abs = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = D[i][j]
+                if v and (best is None or abs(v) < best_abs):
+                    best = (i, j)
+                    best_abs = abs(v)
+                    if best_abs == 1:
+                        break
+            if best_abs == 1:
+                break
+        if best is None:
+            break
+        if best[0] != t:
+            record("row_swap", t, best[0])
+        if best[1] != t:
+            record("col_swap", t, best[1])
+        while True:
+            if D[t][t] < 0:
+                record("row_neg", t)
+            pivot = D[t][t]
+            moved = False
+            for i in range(t + 1, rows):
+                v = D[i][t]
+                if v:
+                    q = v // pivot
+                    if q:
+                        record("row_add", i, t, -q)
+                    if D[i][t]:  # 0 < remainder < pivot: better pivot found
+                        record("row_swap", t, i)
+                        moved = True
+                        break
+            if moved:
+                continue
+            for j in range(t + 1, cols):
+                v = D[t][j]
+                if v:
+                    q = v // pivot
+                    if q:
+                        record("col_add", j, t, -q)
+                    if D[t][j]:
+                        record("col_swap", t, j)
+                        moved = True
+                        break
+            if moved:
+                continue
+            # row and column t are clear; enforce the divisibility chain,
+            # which a unit pivot satisfies trivially
+            if pivot == 1:
+                break
+            violator = None
+            for i in range(t + 1, rows):
+                if any(D[i][j] % pivot for j in range(t + 1, cols)):
+                    violator = i
+                    break
+            if violator is None:
+                break
+            record("row_add", t, violator, 1)
+        t += 1
+    return SmithDecomposition(D, tuple(ops))
+
+
+def dense_solve_min_scalar(M, b, snf):
+    """``solve_min_scalar`` through the materialised transforms x and y."""
+    n = len(M)
+    diag = snf.diagonal
+    c = mat_vec(snf.x, b)
+    lam = 1
+    for i in range(n):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if c[i]:
+                return None
+        else:
+            lam = lcm(lam, d // gcd(d, c[i]))
+    z = [0] * n
+    for i in range(n):
+        d = diag[i] if i < len(diag) else 0
+        if d:
+            z[i] = lam * c[i] // d
+    return lam, mat_vec(snf.y, z)
+
+
+def random_connected_graph(rng, n, m):
+    """A random spanning tree on n vertices plus m - n + 1 uniform extra
+    edges, loops and parallel edges allowed."""
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(m - n + 1)]
+    rng.shuffle(edges)
+    return Multigraph(n, tuple(edges))
 
 
 # --- xgcd and determinant --------------------------------------------------
@@ -173,6 +290,65 @@ class TestSmith:
         assert len(text.splitlines()) == len(snf.operations)
         with pytest.raises(ValueError, match="unknown operation"):
             operations_to_text([("row_scale", 0, 2)])
+
+
+def check_against_dense(M, b=None):
+    """The log, d and every reader equal what the dense reduction and the
+    materialised x and y give."""
+    snf, dense = smith_normal_form(M), dense_smith_normal_form(M)
+    assert snf.operations == dense.operations
+    assert snf.d == dense.d
+    x, y, diag = dense.x, dense.y, dense.diagonal
+    free_rows = [i for i in range(len(x)) if i >= len(diag) or diag[i] == 0]
+    free_cols = [j for j in range(len(y)) if j >= len(diag) or diag[j] == 0]
+    assert snf.left_kernel == hermite_normal_form([x[i] for i in free_rows])[0]
+    assert snf.right_kernel == hermite_normal_form([[row[j] for row in y] for j in free_cols])[0]
+    if b is not None:
+        assert solve_min_scalar(M, b, snf) == dense_solve_min_scalar(M, b, dense)
+
+
+class TestSmithAgainstDense:
+    @settings(max_examples=150)
+    @given(int_matrices(max_size=5), st.data())
+    def test_int_matrices(self, M, data):
+        # non-square shapes, non-unit pivots and remainder swaps all occur here
+        b = None
+        if len(M) == len(M[0]):
+            b = [data.draw(st.integers(-3, 3)) for _ in M]
+        check_against_dense(M, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_multigraphs(max_vertices=5, max_edges=8))
+    def test_one_minus_a_and_its_transpose(self, G):
+        M = one_minus_edge_matrix(G)
+        check_against_dense(M, [1] * len(M))
+        check_against_dense(transpose(M), [1] * len(M))
+
+    @pytest.mark.parametrize(
+        "M, step",
+        [
+            ([[3, 4], [5, 7]], ("row_swap", 0, 1)),  # remainder 5 - 3 = 2 in the pivot column
+            ([[2, 0], [0, 3]], ("row_add", 0, 1, 1)),  # 2 does not divide 3
+            ([[2, 0], [0, 3]], ("col_swap", 0, 1)),  # remainder in the pivot row
+            ([[6, 4, 0], [0, 10, 15]], ("col_add", 1, 0, 6)),  # non-square, non-unit pivot
+        ],
+    )
+    def test_explicit_paths(self, M, step):
+        assert step in smith_normal_form(M).operations
+        check_against_dense(M, [1] * len(M) if len(M) == len(M[0]) else None)
+
+
+@pytest.mark.parametrize("two_m", [20, 40, 60, 80, 100])
+def test_graph_sized_diagonal_against_sympy(two_m):
+    rng = random.Random(f"smith-sympy/{two_m}")
+    m = two_m // 2
+    G = random_connected_graph(rng, rng.randint(1, m), m)
+    M = one_minus_edge_matrix(G)
+    diag = smith_normal_form(M).diagonal
+    sym = sympy_snf(Matrix(M))
+    sym_diag = [abs(int(sym[i, i])) for i in range(two_m)]
+    assert [d for d in diag if d] == [d for d in sym_diag if d]
+    assert diag.count(0) == sym_diag.count(0)
 
 
 # --- Hermite normal form ---------------------------------------------------

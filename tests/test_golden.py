@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from graphkt.cli import main
+from graphkt.exact_linalg import SmithDecomposition
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,3 +35,20 @@ def test_stdout_matches_golden(capsys, name):
     argv = [str(GOLDEN / a) if a.endswith(".graph") else a for a in CASES[name]]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_reports_never_build_the_witnesses(monkeypatch, capsys):
+    # invariants and classify --strict read every invariant by replaying the
+    # log on a few vectors; building a 2m x 2m transform there is a regression
+    def refuse(self):
+        raise AssertionError("a Smith form's x or y was built")
+
+    monkeypatch.setattr(SmithDecomposition, "x", property(refuse))
+    monkeypatch.setattr(SmithDecomposition, "y", property(refuse))
+    graphs = sorted(GOLDEN.glob("*.graph"))
+    assert len(graphs) == 6
+    for path in graphs:
+        assert main(["invariants", str(path)]) == 0
+    pair = [str(GOLDEN / "flower4.graph"), str(GOLDEN / "theta4.graph")]
+    assert main(["classify", *pair, "--strict"]) == 0
+    capsys.readouterr()
