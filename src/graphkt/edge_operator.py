@@ -9,13 +9,19 @@ column vectors the operator therefore acts as the transpose of A; every
 result downstream (normal forms, kernel rank, cokernel class of the
 all-ones vector) is the same for A and its transpose, which is checked
 rather than assumed.
+
+A is held densely, so a graph with more than MAX_EDGES edges is refused
+before anything of size 2m x 2m is allocated.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from .errors import DomainError
+
 __all__ = [
+    "MAX_EDGES",
     "oriented_edges",
     "reversal",
     "edge_matrix",
@@ -23,6 +29,10 @@ __all__ = [
     "is_irreducible",
     "is_permutation",
 ]
+
+# A dense 1 - A holds 4m^2 Python ints: 8 bytes of list slot each, so about
+# 0.5 GB per matrix at this limit.
+MAX_EDGES = 4096
 
 
 def oriented_edges(G):
@@ -40,6 +50,8 @@ def reversal(i, m):
 def edge_matrix(G):
     """The 2m x 2m non-backtracking adjacency matrix A."""
     m = len(G.edges)
+    if m > MAX_EDGES:
+        raise DomainError(f"{m} edges exceed the dense edge operator's limit of {MAX_EDGES}")
     ends = oriented_edges(G)
     out_at = [[] for _ in range(G.vertex_count)]
     for k, (o, _) in enumerate(ends):

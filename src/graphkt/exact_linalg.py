@@ -20,13 +20,14 @@ readers of a reduction never build x or y: they replay the log on only the
 vectors they need (kernel rows of x, kernel columns of y, x b and y z).
 
 ``reversed_charpoly`` gives det(1 - uM) from Hessenberg reductions modulo
-primes below 2^61, as many as the Hadamard bound ``charpoly_bound`` needs.
+primes, as many as the Hadamard bound ``charpoly_bound`` needs: one
+Mersenne prime up to 2^127 - 1 when one suffices, then primes below 2^61
+recombined by CRT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, isqrt, lcm
 
@@ -584,9 +585,13 @@ def poly_divexact(p, q):
 def poly_matrix_det(P):
     """Exact determinant of a square matrix of integer polynomials.
 
-    Evaluates the matrix at enough integer points (0, 1, -1, 2, -2, ...),
-    takes fraction-free integer determinants, and interpolates exactly; the
-    result must come out with integer coefficients.
+    Evaluates the matrix at the integer points 0, 1, ..., D, where D bounds
+    the degree, takes fraction-free integer determinants and interpolates
+    by Newton's forward differences: the k-th difference at 0 is k! times
+    the coefficient of the falling factorial u(u-1)...(u-k+1), so each
+    division by k! must be exact, and a Horner pass turns those
+    coefficients into monomial ones.  An inexact division means a wrong
+    determinant and raises TheoremViolation.
     """
     n = len(P)
     if n == 0:
@@ -595,34 +600,27 @@ def poly_matrix_det(P):
         if len(row) != n:
             raise ValueError("square matrix required")
     bound = sum(max((len(e) - 1 for e in row if e), default=0) for row in P)
-    points = [0]
-    k = 1
-    while len(points) < bound + 1:
-        points.extend([k, -k])
-        k += 1
-    points = points[: bound + 1]
-    values = [
-        determinant([[poly_eval(e, u) for e in row] for row in P]) for u in points
+    diffs = [
+        determinant([[poly_eval(e, u) if e else 0 for e in row] for row in P])
+        for u in range(bound + 1)
     ]
-    if not any(values):
-        return []
-    master = [1]
-    for u in points:
-        master = poly_mul(master, [-u, 1])
-    acc = [Fraction(0)] * (bound + 1)
-    for u, v in zip(points, values):
-        if not v:
-            continue
-        basis = poly_divexact(master, [-u, 1])
-        scale = Fraction(v, poly_eval(basis, u))
-        for i, c in enumerate(basis):
-            if c:
-                acc[i] += scale * c
+    # after pass k, diffs[k] is the k-th forward difference at 0
+    for k in range(1, bound + 1):
+        for i in range(bound, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    factorial = 1
+    for k in range(2, bound + 1):
+        factorial *= k
+        diffs[k], rem = divmod(diffs[k], factorial)
+        if rem:
+            raise TheoremViolation("interpolated determinant has a non-integer coefficient")
+    # sum of diffs[k] * u(u-1)...(u-k+1) by Horner: out = out * (u - k) + diffs[k]
     out = []
-    for f in acc:
-        if f.denominator != 1:
-            raise ValueError("interpolation produced a non-integer coefficient")
-        out.append(int(f))
+    for k in range(bound, -1, -1):
+        out = [0] + out
+        for i in range(len(out) - 1):
+            out[i] -= k * out[i + 1]
+        out[0] += diffs[k]
     return poly_trim(out)
 
 
@@ -661,31 +659,55 @@ def charpoly_mod(M, p):
         H[k], H[c] = H[c], H[k]
         for row in H:
             row[k], row[c] = row[c], row[k]
-        # row i -= u * row c clears column c - 1; column c += u * column i undoes it
+        # row i -= u * row c clears column c - 1; column c += u * column i
+        # undoes it.  Both touch only the entries that a nonzero can change.
         inv = pow(H[c][c - 1], -1, p)
         us = [(i, H[i][c - 1] * inv % p) for i in range(c + 1, n) if H[i][c - 1]]
+        pivot_row = [(j, b) for j, b in enumerate(H[c]) if b]
         for i, u in us:
-            H[i] = [(a - u * b) % p for a, b in zip(H[i], H[c])]
+            row = H[i]
+            for j, b in pivot_row:
+                row[j] = (row[j] - u * b) % p
         for row in H:
-            row[c] = (row[c] + sum([u * row[i] for i, u in us])) % p
+            row[c] = (row[c] + sum([u * row[i] for i, u in us if row[i]])) % p
     # P[c] = det(x - H[:c, :c]) lowest degree first; t = H[i+1][i] ... H[c][c-1]
+    # a zero subdiagonal entry makes every further term of the column zero
     P = [[1]]
     for c in range(n):
         new, t = [0] + P[c], 1
         for i in range(c, -1, -1):
             w = H[i][c] * t % p
-            new[: i + 1] = [a - w * b for a, b in zip(new, P[i])]
+            if w:
+                new[: i + 1] = [a - w * b for a, b in zip(new, P[i])]
             t = t * H[i][i - 1] % p  # unused after i = 0
+            if not t:
+                break
         P.append([v % p for v in new])
     return P[n][::-1]
+
+
+# 2^e - 1 for the Mersenne exponents e = 61, 89, 107 and 127, all proven prime
+MERSENNE_PRIMES = tuple((1 << e) - 1 for e in (61, 89, 107, 127))
+
+
+def _moduli(bound):
+    """The smallest Mersenne prime above 2 * bound (else the largest), then
+    the primes below 2^61 other than it, downwards."""
+    first = next((q for q in MERSENNE_PRIMES if q > 2 * bound), MERSENNE_PRIMES[-1])
+    yield first
+    p = 1 << 61
+    while True:
+        p = prev_prime(p)
+        if p != first:
+            yield p
 
 
 def reversed_charpoly(M):
     """det(1 - uM) for a square integer matrix M, exactly, lowest degree first."""
     bound = charpoly_bound(M)
-    out, modulus, p = [0] * (len(M) + 1), 1, 1 << 61
+    out, modulus, moduli = [0] * (len(M) + 1), 1, _moduli(bound)
     while modulus <= 2 * bound:
-        p = prev_prime(p)
+        p = next(moduli)
         inv = pow(modulus, -1, p)
         out = [x + modulus * ((r - x) * inv % p) for x, r in zip(out, charpoly_mod(M, p))]
         modulus *= p

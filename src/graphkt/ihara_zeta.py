@@ -5,8 +5,10 @@ factor through the vertex data as (1 - u^2)^(g-1) * det(I - u*A_V + u^2*Q),
 where A_V is the vertex adjacency matrix (a loop adds 2 to its diagonal
 entry) and Q = D - I with D the valence diagonal (loops count 2).  The
 vanishing order at u = 1 recovers the corank of 1 - A.  The edge side is
-computed modulo primes, the vertex side by interpolation; any disagreement
-raises TheoremViolation.
+a Hessenberg characteristic polynomial of A modulo primes; the vertex side
+evaluates the |V| x |V| matrix at the integer points 0, 1, ..., at most
+2|V|, and interpolates by Newton's forward differences.  Two algorithms on two sets
+of data, so any disagreement raises TheoremViolation.
 """
 
 from __future__ import annotations

@@ -168,6 +168,26 @@ class TestZeta:
         assert captured.out == ""
         assert "theorem violation: edge and vertex zeta" in captured.err
 
+    def test_wrong_vertex_determinant_exits_3(self, capsys, theta3, monkeypatch):
+        # theta3's vertex side interpolates 5 determinants; the middle one
+        # off by one makes the division of the 2nd difference by 2! inexact
+        import graphkt.exact_linalg as linalg_mod
+
+        honest, calls = linalg_mod.determinant, []
+
+        def off_by_one(M):
+            calls.append(M)
+            return honest(M) + (len(calls) == 3)
+
+        monkeypatch.setattr(linalg_mod, "determinant", off_by_one)
+        assert main(["zeta", theta3]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "theorem violation: interpolated determinant has a non-integer coefficient\n"
+        )
+        assert len(calls) == 5
+
     def test_forced_mismatch_exits_3_under_optimize(self, flower3):
         # the vertex side disagrees with the edge side; the mismatch must
         # not rest on an assert that python -O strips
@@ -292,6 +312,30 @@ def test_huge_vertex_count_refused_before_allocation(tmp_path, command):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: graph must be connected\n"
+
+
+@pytest.mark.parametrize("command", ["invariants", "zeta"])
+def test_edge_count_above_limit_refused_before_allocation(tmp_path, command):
+    # one more edge than MAX_EDGES: a dense 2m x 2m matrix would not fit
+    # in the 1 GB address space, so only the refusal can exit cleanly
+    import resource
+
+    from graphkt.edge_operator import MAX_EDGES
+
+    path = tmp_path / "big.graph"
+    path.write_text(format_graph(generate_flower(MAX_EDGES + 1)))
+    limit = 1 << 30
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphkt", command, str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        f"error: {MAX_EDGES + 1} edges exceed the dense edge operator's limit of {MAX_EDGES}\n"
+    )
 
 
 def test_module_entry_point(tmp_path):

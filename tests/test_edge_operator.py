@@ -1,13 +1,16 @@
+import pytest
 from hypothesis import given, settings
 
 from graphkt import Multigraph, generate_cycle, generate_flower, generate_theta
 from graphkt.edge_operator import (
+    MAX_EDGES,
     edge_matrix,
     is_irreducible,
     is_permutation,
     oriented_edges,
     reversal,
 )
+from graphkt.errors import DomainError
 from graphkt.multigraph import betti_number, valences
 
 from .strategies import connected_multigraphs
@@ -112,3 +115,17 @@ class TestPermutation:
 
     def test_flower2_not(self):
         assert not is_permutation(edge_matrix(generate_flower(2)))
+
+
+def test_edge_count_limit_refused_before_allocation():
+    import tracemalloc
+
+    G = generate_flower(MAX_EDGES + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"limit of {MAX_EDGES}"):
+            edge_matrix(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one row of A alone would take 64 KB, all of A 0.5 GB

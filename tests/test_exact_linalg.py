@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from graphkt import Multigraph, generate_flower, generate_theta
+import graphkt.exact_linalg as linalg_mod
+from graphkt import Multigraph, generate_cycle, generate_flower, generate_theta
 from graphkt.edge_operator import edge_matrix, one_minus_edge_matrix
 from graphkt.errors import TheoremViolation
 from graphkt.exact_linalg import (
+    MERSENNE_PRIMES,
     AbelianGroup,
     SmithDecomposition,
     apply_operation,
@@ -87,6 +90,67 @@ def cofactor_poly_det(P):
                 term = [-c for c in term]
             total = poly_add(total, term)
     return total
+
+
+def lagrange_poly_matrix_det(P):
+    """The earlier poly_matrix_det: integer points 0, 1, -1, 2, -2, ... and
+    Lagrange interpolation in Fractions."""
+    n = len(P)
+    if n == 0:
+        return [1]
+    for row in P:
+        if len(row) != n:
+            raise ValueError("square matrix required")
+    bound = sum(max((len(e) - 1 for e in row if e), default=0) for row in P)
+    points = [0]
+    k = 1
+    while len(points) < bound + 1:
+        points.extend([k, -k])
+        k += 1
+    points = points[: bound + 1]
+    values = [
+        determinant([[poly_eval(e, u) for e in row] for row in P]) for u in points
+    ]
+    if not any(values):
+        return []
+    master = [1]
+    for u in points:
+        master = poly_mul(master, [-u, 1])
+    acc = [Fraction(0)] * (bound + 1)
+    for u, v in zip(points, values):
+        if not v:
+            continue
+        basis = poly_divexact(master, [-u, 1])
+        scale = Fraction(v, poly_eval(basis, u))
+        for i, c in enumerate(basis):
+            if c:
+                acc[i] += scale * c
+    out = []
+    for f in acc:
+        if f.denominator != 1:
+            raise ValueError("interpolation produced a non-integer coefficient")
+        out.append(int(f))
+    return poly_trim(out)
+
+
+@st.composite
+def poly_matrices(draw, max_size=5, max_degree=3):
+    """Square matrices of integer polynomials, n = 0..max_size, with zero
+    entries; some are made singular by a repeated row or a zero column."""
+    n = draw(st.integers(0, max_size))
+    entry = st.one_of(
+        st.just([]),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=max_degree + 1).map(poly_trim),
+    )
+    P = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n >= 2:
+        singular = draw(st.sampled_from(["none", "row", "column"]))
+        if singular == "row":
+            P[1] = list(P[0])
+        elif singular == "column":
+            for row in P:
+                row[n - 1] = []
+    return P
 
 
 def dense_smith_normal_form(M):
@@ -612,7 +676,96 @@ class TestPolynomials:
         assert poly_matrix_det(P) == poly_trim(cofactor_poly_det(P))
 
 
+class TestNewtonInterpolation:
+    @settings(max_examples=150, deadline=None)
+    @given(poly_matrices())
+    def test_against_lagrange(self, P):
+        assert poly_matrix_det(P) == lagrange_poly_matrix_det(P)
+
+    @pytest.mark.parametrize("point", range(5))
+    def test_wrong_value_raises(self, monkeypatch, point):
+        # degree bound 4: one value off by one leaves some k-th difference
+        # at 0 not divisible by k!
+        P = [[[1, 1, 1], [0, 1]], [[0, -1], [1, 0, 2]]]
+        assert poly_matrix_det(P) == lagrange_poly_matrix_det(P)
+        honest, calls = linalg_mod.determinant, []
+
+        def off_by_one(M):
+            calls.append(M)
+            return honest(M) + (len(calls) == point + 1)
+
+        monkeypatch.setattr(linalg_mod, "determinant", off_by_one)
+        with pytest.raises(TheoremViolation, match="non-integer coefficient"):
+            poly_matrix_det(P)
+        assert len(calls) == 5
+
+
+def one_minus_u(M):
+    n = len(M)
+    return [[poly_trim([int(i == j), -M[i][j]]) for j in range(n)] for i in range(n)]
+
+
+def count_passes(monkeypatch):
+    """Record the modulus of every charpoly_mod pass."""
+    honest, moduli = linalg_mod.charpoly_mod, []
+
+    def counting(M, p):
+        moduli.append(p)
+        return honest(M, p)
+
+    monkeypatch.setattr(linalg_mod, "charpoly_mod", counting)
+    return moduli
+
+
+def block_diagonal(*blocks):
+    n = sum(map(len, blocks))
+    out, at = [[0] * n for _ in range(n)], 0
+    for B in blocks:
+        for i, row in enumerate(B):
+            out[at + i][at : at + len(row)] = row
+        at += len(B)
+    return out
+
+
 class TestCharpoly:
+    def test_mersenne_moduli_are_prime(self):
+        from sympy import isprime
+
+        assert MERSENNE_PRIMES == tuple((1 << e) - 1 for e in (61, 89, 107, 127))
+        assert all(isprime(q) for q in MERSENNE_PRIMES)
+
+    def test_crt_beyond_the_largest_mersenne_prime(self, monkeypatch):
+        rng = random.Random("crt")
+        M = [[rng.randint(-10**8, 10**8) for _ in range(6)] for _ in range(6)]
+        assert charpoly_bound(M) > 1 << 126
+        moduli = count_passes(monkeypatch)
+        expected = [int(c) for c in Matrix(M).charpoly().all_coeffs()]
+        assert reversed_charpoly(M) == poly_trim(expected)
+        assert moduli[0] == MERSENNE_PRIMES[-1]
+        assert len(moduli) >= 2 and all(p < 1 << 61 for p in moduli[1:])
+        assert len(set(moduli)) == len(moduli)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            edge_matrix(generate_cycle(5)),  # a permutation
+            edge_matrix(generate_cycle(1)),
+            block_diagonal([[1, 2], [3, 4]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[5]]),
+            block_diagonal([[2]], [[0, 1], [1, 1]], [[1, 1], [0, 1]]),
+            [[1, 0, 2], [3, 0, 4], [5, 0, 6]],  # a zero column
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+        ]
+        + [edge_matrix(generate_flower(g)) for g in range(1, 7)],
+        ids=["cycle5", "cycle1", "blocks", "jordan_blocks", "zero_column", "shift"]
+        + [f"flower{g}" for g in range(1, 7)],
+    )
+    def test_split_hessenberg(self, M):
+        # the reduced matrix has zero subdiagonal entries, where the
+        # recurrence stops early
+        expected = poly_trim([int(c) for c in Matrix(M).charpoly().all_coeffs()])
+        assert reversed_charpoly(M) == expected
+        assert reversed_charpoly(M) == poly_matrix_det(one_minus_u(M))
+
     def test_primes_follow_sympy_prevprime(self):
         from sympy import prevprime
 

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,10 @@ from graphkt import (
     generate_theta,
     zeta_report,
 )
+import graphkt.ihara_zeta as zeta_mod
 from graphkt.edge_operator import edge_matrix
 from graphkt.errors import TheoremViolation
-from graphkt.exact_linalg import poly_matrix_det, poly_mul, poly_trim
+from graphkt.exact_linalg import charpoly_bound, poly_matrix_det, poly_mul, poly_trim
 from graphkt.ihara_zeta import (
     edge_charpoly,
     ihara_rhs,
@@ -26,7 +28,7 @@ from graphkt.ihara_zeta import (
 from graphkt.multigraph import is_connected
 
 from .strategies import connected_multigraphs
-from .test_exact_linalg import cofactor_poly_det
+from .test_exact_linalg import cofactor_poly_det, count_passes, lagrange_poly_matrix_det
 
 
 def one_minus_u_edge_matrix(G):
@@ -96,6 +98,21 @@ class TestEdgeCharpoly:
         assert len(edge_matrix(G)) == 2 * edge_count
         assert edge_charpoly(G) == ihara_rhs(G)
 
+    def test_one_pass_at_76_oriented_edges(self, monkeypatch):
+        # a 110-bit bound took two primes below 2^61; one Mersenne prime
+        # above twice the bound now suffices
+        G = random_connected_graph(38, seed=38)
+        bound = charpoly_bound(edge_matrix(G))
+        assert bound.bit_length() == 110
+        moduli = count_passes(monkeypatch)
+        assert edge_charpoly(G) == ihara_rhs(G)
+        assert moduli == [(1 << 127) - 1]
+
+    def test_small_bound_takes_the_61_bit_prime(self, monkeypatch):
+        moduli = count_passes(monkeypatch)
+        edge_charpoly(generate_theta(3))
+        assert moduli == [(1 << 61) - 1]
+
     def test_pendant_degree_drop(self):
         # a zero row of A caps the degree below 2m
         G = Multigraph(2, ((0, 0), (0, 1)))
@@ -114,6 +131,13 @@ class TestIharaRhs:
     def test_tree_rejected(self):
         with pytest.raises(DomainError, match="g >= 1"):
             ihara_rhs(Multigraph(2, ((0, 1),)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_multigraphs(max_vertices=5, max_edges=8, min_genus=1))
+    def test_newton_against_lagrange(self, G):
+        with mock.patch.object(zeta_mod, "poly_matrix_det", lagrange_poly_matrix_det):
+            oracle = ihara_rhs(G)
+        assert ihara_rhs(G) == oracle
 
 
 class TestBassIdentity:
