@@ -13,11 +13,11 @@ Elementary row/column operations are recorded as tuples, and
     ("col_neg", i)
 
 A Smith reduction keeps only its diagonal form and this log, which is the
-one record of the transform: the unimodular witnesses are replayed from it
-when first read (the row operations on the identity give x, the column
-operations y), so every check of x * m * y = d also checks the log.  The
-readers of a reduction never build x or y: they replay the log on only the
-vectors they need (kernel rows of x, kernel columns of y, x b and y z).
+one record of the transform and its certificate: a log of elementary
+operations is a product of determinant +-1 matrices, so checking each
+operation and that the log replays m to d checks x * m * y = d.  Readers
+never build x or y: they replay the log on only the vectors they need
+(kernel rows of x, kernel columns of y, x b and y z).
 
 ``reversed_charpoly`` gives det(1 - uM) from Hessenberg reductions modulo
 primes, as many as the Hadamard bound ``charpoly_bound`` needs: one
@@ -37,7 +37,6 @@ __all__ = [
     "xgcd",
     "identity_matrix",
     "transpose",
-    "mat_mul",
     "mat_vec",
     "determinant",
     "apply_operation",
@@ -82,14 +81,6 @@ def identity_matrix(n):
 
 def transpose(M):
     return [list(col) for col in zip(*M)] if M else []
-
-
-def mat_mul(A, B):
-    if not A or not B:
-        return [[] for _ in A]
-    cols = range(len(B[0]))
-    Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, Bt[j])) for j in cols] for row in A]
 
 
 def mat_vec(M, v):
@@ -225,8 +216,8 @@ def operations_to_text(ops):
 class SmithDecomposition:
     """x * m * y = d with x, y unimodular and d diagonal with positive
     entries each dividing the next, zeros trailing.  ``operations`` is the
-    one record of the reduction; x and y are replayed from it when first
-    read."""
+    one record and certificate of the reduction; x and y are replayed from
+    it when first read, which no path of the package does."""
 
     d: list
     operations: tuple

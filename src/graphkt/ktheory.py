@@ -23,13 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
-from .edge_operator import (
-    edge_matrix,
-    is_irreducible,
-    is_permutation,
-    one_minus_edge_matrix,
-    oriented_edges,
-)
+from .edge_operator import edge_matrix, one_minus_edge_matrix, oriented_edges
 from .errors import DomainError, TheoremViolation
 from .exact_linalg import (
     AbelianGroup,
@@ -41,7 +35,7 @@ from .exact_linalg import (
     solve_min_scalar,
     transpose,
 )
-from .multigraph import betti_number, boundary, contract_edge, cycle_basis
+from .multigraph import betti_number, boundary, contract_edge, cycle_basis, valences
 
 __all__ = [
     "k0",
@@ -53,6 +47,7 @@ __all__ = [
     "contraction_reduce",
     "unit_order",
     "expected_invariants",
+    "simplicity_flags",
     "ClassificationVerdict",
     "classify_stable",
     "classify_strict",
@@ -355,11 +350,13 @@ def _check_contraction_state(M, b, H, orig, m, frozen, sizes):
             raise TheoremViolation("the ones-image must count the vertices merged into a terminus")
 
 
-def _simplicity_flags(G):
-    A = edge_matrix(G)
-    irreducible = is_irreducible(A)
-    permutation = is_permutation(A)
-    return irreducible, permutation, irreducible and not permutation
+def simplicity_flags(G, g):
+    """(irreducible, permutation, simple) for A: irreducible exactly when
+    g >= 2 and no valence is below 2, a permutation exactly when g = 1 and
+    none is (a cycle).  The sweep checks both against scans of A."""
+    closed = min(valences(G), default=0) >= 2
+    irreducible = closed and g >= 2
+    return irreducible, closed and g == 1, irreducible
 
 
 def expected_invariants(G):
@@ -442,7 +439,7 @@ def classify_stable(G1, G2):
     groups = (k0(G1), k0(G2))
     if (g1 == g2) != (groups[0] == groups[1]):
         raise TheoremViolation("degree-zero groups must match exactly when g does")
-    flags = (_simplicity_flags(G1)[2], _simplicity_flags(G2)[2])
+    flags = (simplicity_flags(G1, g1)[2], simplicity_flags(G2, g2)[2])
     reason = None
     if not all(flags):
         reason = "simplicity hypothesis fails on an input; verdict carries that caveat"
@@ -469,7 +466,7 @@ def classify_strict(G1, G2):
     g1 = _require_genus(G1, 2, _CLASSIFY_MESSAGE)
     g2 = _require_genus(G2, 2, _CLASSIFY_MESSAGE)
     groups, orders = zip(_k0_and_unit_order(G1), _k0_and_unit_order(G2))
-    flags = (_simplicity_flags(G1)[2], _simplicity_flags(G2)[2])
+    flags = (simplicity_flags(G1, g1)[2], simplicity_flags(G2, g2)[2])
     if not all(flags):
         return ClassificationVerdict(
             mode="strict",
@@ -528,7 +525,7 @@ def ktheory_report(G):
     position = _unit_position(G, M, snf)
     order = None if position is None else position[0]
     witness = None if position is None else tuple(position[1])
-    irreducible, permutation, simple = _simplicity_flags(G)
+    irreducible, permutation, simple = simplicity_flags(G, g)
     return KTheoryReport(
         g=g,
         vertex_count=G.vertex_count,

@@ -12,7 +12,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations, product
 from math import gcd
 
 from . import ihara_zeta, ktheory
@@ -28,9 +28,7 @@ from .exact_linalg import (
     AbelianGroup,
     apply_operations,
     apply_row_operations_to_vector,
-    determinant,
     hermite_normal_form,
-    mat_mul,
     mat_vec,
     smith_normal_form,
     solve_min_scalar,
@@ -43,7 +41,6 @@ from .multigraph import (
     classify_end_edges,
     contract_edge,
     cycle_basis,
-    edges_connect,
     format_graph,
     is_connected,
     is_stable,
@@ -117,23 +114,25 @@ def canonical_key(G):
 
 def enumerate_connected(max_vertices, max_edges):
     """All connected multigraphs within the bounds, one per isomorphism
-    class, loops and parallel edges included: the first of each class in
-    the order the edge multisets are generated."""
-    seen = set()
-    out = []
-    for n in range(1, max_vertices + 1):
+    class, loops and parallel edges included.  Classes with m edges on n
+    vertices grow from those with m - 1 by a slot (u, v) on n vertices or a
+    pendant edge (u, n - 1) on n - 1; a connected graph with an edge has a
+    non-bridge edge (a loop counts) or a leaf whose removal leaves a
+    connected parent, so all are reached.  Each class is its least edge
+    multiset over all n! labellings, its first in combinations_with_replacement
+    order, and the list is sorted by (n, m, edges) as that walk meets them."""
+    level = {(1, 0): {()}} if max_vertices >= 1 and max_edges >= 0 else {}
+    for m, n in product(range(1, max_edges + 1), range(1, max_vertices + 1)):
         slots = [(u, v) for u in range(n) for v in range(u, n)]
-        for m in range(max(n - 1, 0), max_edges + 1):
-            for combo in combinations_with_replacement(slots, m):
-                if not edges_connect(n, combo):
-                    continue
-                G = Multigraph(n, combo)
-                key = canonical_key(G)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(G)
-    return out
+        grown = [p + (s,) for p in level.get((n, m - 1), ()) for s in slots]
+        grown += [p + ((u, n - 1),) for p in level.get((n - 1, m - 1), ()) for u in range(n - 1)]
+        level[n, m] = {canonical_key(Multigraph(n, edges))[1] for edges in grown}
+    least = sorted(
+        (n, m, min(sorted((p[u], p[v]) if p[u] <= p[v] else (p[v], p[u]) for u, v in edges)
+                   for p in permutations(range(n))))
+        for (n, m), classes in level.items() for edges in classes
+    )
+    return [Multigraph(n, edges) for n, _, edges in least]
 
 
 def random_connected(config):
@@ -265,23 +264,34 @@ def check_edge_matrix_structure(ctx):
                 A[i][j] == A[reversal(j, m)][reversal(i, m)],
                 "path reversal symmetry must hold",
             )
-    if ctx.g >= 2 and min(val) >= 2:
-        _need(is_irreducible(A), "edge matrix must be irreducible without ends")
-        _need(not is_permutation(A), "edge matrix must not be a permutation for g >= 2")
+    if G.edges:  # the empty matrix of the edgeless vertex is vacuously a permutation
+        irreducible, permutation, _ = ktheory.simplicity_flags(G, ctx.g)
+        _need(is_irreducible(A) == irreducible, "edge matrix must be irreducible without ends"
+              if irreducible else "edge matrix must be reducible with ends or g < 2")
+        _need(is_permutation(A) == permutation, "edge matrix must not be a permutation for g >= 2"
+              if ctx.g >= 2 else "edge matrix must be a permutation exactly for a cycle")
     return True
 
 
+_ARITY = {"row_add": 4, "row_swap": 3, "row_neg": 2, "col_add": 4, "col_swap": 3, "col_neg": 2}
+
+
 def check_snf_diagonal(ctx):
+    """The log is the certificate: each operation elementary (int indices
+    in range, no line added to itself) makes x and y unimodular, and its
+    replay through apply_operation, not the in-place clears, must give d."""
     if ctx.g < 1:
         return False
-    snf = ctx.snf
+    snf, size, g = ctx.snf, len(ctx.M), ctx.g
+    for op in snf.operations:
+        if not (_ARITY.get(op[0]) == len(op) and all(type(a) is int for a in op[1:])
+                and all(0 <= i < size for i in op[1:3]) and (len(op) < 4 or op[1] != op[2])):
+            side = "row" if op[0].startswith("row_") else "column"
+            raise CheckFailed(f"{side} transform must be unimodular")
     _need(
-        mat_mul(mat_mul(snf.x, ctx.M), snf.y) == snf.d,
+        apply_operations(ctx.M, snf.operations) == snf.d,
         "smith decomposition must multiply back",
     )
-    _need(abs(determinant(snf.x)) == 1, "row transform must be unimodular")
-    _need(abs(determinant(snf.y)) == 1, "column transform must be unimodular")
-    g, size = ctx.g, len(ctx.M)
     _need(
         snf.diagonal == [1] * (size - g - 1) + [g - 1] + [0] * g,
         f"diagonal of 1 - A must be units, g - 1, then g zeros (g = {g})",
@@ -353,7 +363,7 @@ def check_unit_order(ctx):
     )
     # minimality, brute force: no smaller positive scalar is solvable
     diag = ctx.snf.diagonal
-    c = mat_vec(ctx.snf.x, [1] * len(ctx.M))
+    c = apply_row_operations_to_vector([1] * len(ctx.M), ctx.snf.operations)
     for smaller in range(1, lam):
         solvable = all(
             (c[i] == 0 if (i >= len(diag) or diag[i] == 0) else (smaller * c[i]) % diag[i] == 0)

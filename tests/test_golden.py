@@ -3,7 +3,9 @@
 ``tests/golden`` holds input graphs and the exact stdout that
 ``invariants`` and ``classify --strict`` printed for them before the
 invariants were read from a single Smith form.  Any change to the bytes
-(witnesses and kernel bases included) fails here.
+(witnesses and kernel bases included) fails here.  It also holds what
+``verify`` printed before its classes grew from their parents and its
+Smith forms were checked through their logs.
 """
 
 from pathlib import Path
@@ -29,6 +31,12 @@ CASES = {
     ],
 }
 
+VERIFY_CASES = {
+    "verify_defaults": ["verify"],
+    "verify_n5_m6": ["verify", "--max-vertices", "5", "--max-edges", "6"],
+    "verify_random_s25_seed42": ["verify", "--random", "--samples", "25", "--seed", "42"],
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(capsys, name):
@@ -37,9 +45,16 @@ def test_stdout_matches_golden(capsys, name):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_stdout_matches_golden(capsys, name):
+    assert main(VERIFY_CASES[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
 def test_reports_never_build_the_witnesses(monkeypatch, capsys):
-    # invariants and classify --strict read every invariant by replaying the
-    # log on a few vectors; building a 2m x 2m transform there is a regression
+    # invariants, classify --strict and verify read every invariant by
+    # replaying the log on a few vectors; building a 2m x 2m transform there
+    # is a regression
     def refuse(self):
         raise AssertionError("a Smith form's x or y was built")
 
@@ -51,4 +66,6 @@ def test_reports_never_build_the_witnesses(monkeypatch, capsys):
         assert main(["invariants", str(path)]) == 0
     pair = [str(GOLDEN / "flower4.graph"), str(GOLDEN / "theta4.graph")]
     assert main(["classify", *pair, "--strict"]) == 0
+    # verify checks each Smith form through its log, not through x and y
+    assert main(["verify", "--max-vertices", "3", "--max-edges", "4"]) == 0
     capsys.readouterr()

@@ -19,7 +19,12 @@ from graphkt import (
     ktheory_report,
     report_to_json_dict,
 )
-from graphkt.edge_operator import one_minus_edge_matrix
+from graphkt.edge_operator import (
+    edge_matrix,
+    is_irreducible,
+    is_permutation,
+    one_minus_edge_matrix,
+)
 from graphkt.exact_linalg import (
     AbelianGroup,
     apply_operations,
@@ -39,9 +44,11 @@ from graphkt.ktheory import (
     k0,
     k1,
     phi,
+    simplicity_flags,
     unit_order,
 )
 from graphkt.multigraph import betti_number, contract_edge, cycle_basis
+from graphkt.sweep import enumerate_connected
 
 from .strategies import connected_multigraphs
 
@@ -409,3 +416,15 @@ class TestReport:
         assert k1(G)[1] == kernel_basis(Mt)
         other = solve_min_scalar(Mt, [1] * len(Mt))
         assert rep.unit_order == (None if other is None else other[0])
+
+
+def test_simplicity_flags_match_the_dense_scans():
+    # the flags are read off g and the valences; the scans of the dense
+    # 2m x 2m edge matrix stay as their oracle
+    for G in enumerate_connected(5, 6):
+        if not G.edges:  # the empty matrix is vacuously a permutation
+            continue
+        A = edge_matrix(G)
+        irreducible, permutation, simple = simplicity_flags(G, betti_number(G))
+        assert (irreducible, permutation) == (is_irreducible(A), is_permutation(A))
+        assert simple == (irreducible and not permutation)

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphkt import Multigraph, generate_flower, generate_theta
-from graphkt.multigraph import betti_number, is_connected, valences
+from graphkt import Multigraph, format_graph, generate_flower, generate_theta
+from graphkt.exact_linalg import SmithDecomposition
+from graphkt.multigraph import betti_number, edges_connect, is_connected, valences
 from graphkt.sweep import (
+    CheckFailed,
+    GraphChecks,
     SweepConfig,
     canonical_key,
+    check_snf_diagonal,
     enumerate_connected,
     random_connected,
     run_sweep,
@@ -54,6 +58,27 @@ def brute_enumerate(max_vertices, max_edges):
         if key not in seen:
             seen.add(key)
             out.append(G)
+    return out
+
+
+def walk_enumerate(max_vertices, max_edges):
+    """The oracle for enumerate_connected, kept as its body was before the
+    classes grew from their parents: walk every connected edge multiset and
+    keep the first of each class."""
+    seen = set()
+    out = []
+    for n in range(1, max_vertices + 1):
+        slots = [(u, v) for u in range(n) for v in range(u, n)]
+        for m in range(max(n - 1, 0), max_edges + 1):
+            for combo in combinations_with_replacement(slots, m):
+                if not edges_connect(n, combo):
+                    continue
+                G = Multigraph(n, combo)
+                key = canonical_key(G)
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(G)
     return out
 
 
@@ -102,6 +127,25 @@ class TestEnumeration:
         for bucket in buckets.values():
             for a, b in combinations(bucket, 2):
                 assert not nx.is_isomorphic(a, b)
+
+
+class TestGrowthFromParents:
+    @pytest.mark.parametrize(
+        "max_vertices, max_edges",
+        [(5, 6), pytest.param(5, 7, marks=pytest.mark.slow)],
+    )
+    def test_same_list_as_the_walk(self, max_vertices, max_edges):
+        assert enumerate_connected(max_vertices, max_edges) == walk_enumerate(
+            max_vertices, max_edges
+        )
+
+    @pytest.mark.slow
+    def test_class_count_at_six_vertices_seven_edges(self):
+        assert len(enumerate_connected(6, 7)) == 1530
+
+    @pytest.mark.parametrize("bounds", [(0, 3), (3, -1), (1, 0), (2, 0)])
+    def test_degenerate_bounds_match_the_walk(self, bounds):
+        assert enumerate_connected(*bounds) == walk_enumerate(*bounds)
 
 
 class TestCanonicalKey:
@@ -244,3 +288,61 @@ class TestRunSweep:
         failures = {(f.check, f.message) for f in report.failures}
         assert ("cycle_space_lemma", "cycle image must be annihilated by 1 - T") in failures
         assert ("reduction_transcript", "the contraction reduction must end diagonal") in failures
+
+
+# Smith logs that check_snf_diagonal must refuse, made from the honest one;
+# size is the order of 1 - A.  The replay catches the dropped operation.  The
+# check of each operation catches the others before the replay, which would
+# miss two of them (the doubled row is zero in d, and 1.0 == 1) and raise on
+# the other two.
+def _float_multiplier(ops, size):
+    i = next(i for i, op in enumerate(ops) if op[0] == "row_add")
+    kind, dst, src, k = ops[i]
+    return ops[:i] + ((kind, dst, src, float(k)),) + ops[i + 1 :]
+
+
+TAMPERED_LOGS = {
+    "row_add_to_itself": lambda ops, size: ops + (("row_add", size - 1, size - 1, 1),),
+    "unknown_kind": lambda ops, size: ops + (("row_scale", 0, 2),),
+    "index_out_of_range": lambda ops, size: ops + (("col_swap", 0, size),),
+    "non_int_multiplier": _float_multiplier,
+    "dropped_operation": lambda ops, size: ops[1:],
+}
+
+
+class TestSmithLogCertificate:
+    graph = generate_theta(3)
+
+    def test_honest_log_passes(self):
+        assert check_snf_diagonal(GraphChecks(self.graph))
+
+    @pytest.mark.parametrize("name", sorted(TAMPERED_LOGS))
+    def test_tampered_log_refused(self, name):
+        ctx = GraphChecks(self.graph)
+        honest = ctx.snf
+        ctx.snf = SmithDecomposition(honest.d, TAMPERED_LOGS[name](honest.operations, len(ctx.M)))
+        with pytest.raises(CheckFailed):
+            check_snf_diagonal(ctx)
+
+    @pytest.mark.parametrize("name", sorted(TAMPERED_LOGS))
+    def test_tampered_log_recorded_by_the_sweep(self, monkeypatch, name):
+        import graphkt.sweep as sweep_mod
+
+        def tampered(ctx):
+            honest = sweep_mod.smith_normal_form(ctx.M)
+            return SmithDecomposition(honest.d, TAMPERED_LOGS[name](honest.operations, len(ctx.M)))
+
+        monkeypatch.setattr(sweep_mod, "enumerate_connected", lambda *bounds: [self.graph])
+        monkeypatch.setattr(sweep_mod.GraphChecks, "snf", property(tampered))
+        report = run_sweep(SweepConfig(), max_failures=1)
+        assert [f.check for f in report.failures] == ["snf_diagonal"]
+
+
+def test_simplicity_flags_checked_for_every_genus(monkeypatch):
+    # the closed-form flags are compared with the dense scans on g = 1 too
+    import graphkt.ktheory as ktheory_mod
+
+    monkeypatch.setattr(ktheory_mod, "simplicity_flags", lambda G, g: (False, False, False))
+    report = run_sweep(SweepConfig(max_vertices=1, max_edges=1), max_failures=1)
+    assert [f.check for f in report.failures] == ["edge_matrix_structure"]
+    assert report.failures[0].graph_text == format_graph(generate_flower(1))
