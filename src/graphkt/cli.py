@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .errors import DomainError, GraphParseError, TheoremViolation
@@ -135,6 +136,7 @@ def _cmd_verify(args):
     return EXIT_OK
 
 
+@cache  # built on first use, not at import; callers in one process share it
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="graphkt",

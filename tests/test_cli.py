@@ -348,3 +348,31 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["g"] == 2
+
+
+def test_parser_built_once():
+    from graphkt.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+
+
+def test_one_process_matches_separate_processes(capsys, flower3):
+    # the parser is shared between calls in one process; invariants, zeta
+    # and a bad argument must print and exit as three fresh processes do
+    argvs = [["invariants", flower3], ["zeta", flower3], ["zeta", flower3, "--bogus"]]
+    shared = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        shared.append((code, captured.out, captured.err))
+    separate = []
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphkt"] + argv, capture_output=True, text=True
+        )
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert shared == separate
+    assert [code for code, _, _ in shared] == [0, 0, 2]

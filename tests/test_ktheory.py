@@ -24,9 +24,12 @@ from graphkt.edge_operator import (
     is_irreducible,
     is_permutation,
     one_minus_edge_matrix,
+    oriented_edges,
 )
+from graphkt.errors import TheoremViolation
 from graphkt.exact_linalg import (
     AbelianGroup,
+    apply_operation,
     apply_operations,
     apply_row_operations_to_vector,
     cokernel,
@@ -36,6 +39,8 @@ from graphkt.exact_linalg import (
     transpose,
 )
 from graphkt.ktheory import (
+    ReductionTranscript,
+    _require_genus,
     boundary_algebra_compatible,
     contraction_reduce,
     cycle_lattice,
@@ -47,8 +52,8 @@ from graphkt.ktheory import (
     simplicity_flags,
     unit_order,
 )
-from graphkt.multigraph import betti_number, contract_edge, cycle_basis
-from graphkt.sweep import enumerate_connected
+from graphkt.multigraph import betti_number, contract_edge, cycle_basis, is_connected
+from graphkt.sweep import SweepConfig, enumerate_connected, run_sweep
 
 from .strategies import connected_multigraphs
 
@@ -210,7 +215,7 @@ class TestTranscript:
 
     def test_tampered_reduction_raises_under_optimize(self):
         # flower 3 reaches the final checks without a contraction round,
-        # theta 3 trips the per-round state check
+        # theta 3 after one
         script = textwrap.dedent(
             """
             import sys
@@ -240,6 +245,222 @@ class TestTranscript:
             [sys.executable, "-O", "-c", script], capture_output=True, text=True
         )
         assert proc.returncode == 3, proc.stderr
+
+
+def dense_contraction_reduce(G, rng=None):
+    """The contraction reduction that carries 1 - A through every round,
+    reads its column clears off that matrix and checks the state lemma after
+    each round: the oracle for ``contraction_reduce``, which reads its log
+    off the contracted graph."""
+    n_orig = G.vertex_count
+    g = _require_genus(G, 1)
+    m = len(G.edges)
+    two_m = 2 * m
+    M = one_minus_edge_matrix(G)
+    ones = [[1] for _ in range(two_m)]  # the ones-image, as one column
+    ops = []
+
+    def record(*op):
+        apply_operation(M, op)
+        if op[0].startswith("row_"):
+            apply_operation(ones, op)
+        ops.append(op)
+
+    H = G
+    orig = list(range(m))  # H edge index -> original edge index
+    sizes = [1] * n_orig  # H vertex -> number of original vertices merged in
+    frozen = []
+    contraction_order = []
+
+    while True:
+        nonloops = [j for j, (u, v) in enumerate(H.edges) if u != v]
+        if not nonloops:
+            break
+        j = nonloops[0] if rng is None else rng.choice(nonloops)
+        m_h = len(H.edges)
+        ends = oriented_edges(H)
+
+        def to_orig(k):
+            return orig[k] if k < m_h else orig[k - m_h] + m
+
+        gamma, gamma_bar = to_orig(j), to_orig(j + m_h)
+        u, v = H.edges[j]
+        for k, (_, t) in enumerate(ends):
+            if k == j or k == j + m_h:
+                continue
+            if t == u:
+                record("row_add", to_orig(k), gamma, 1)
+            elif t == v:
+                record("row_add", to_orig(k), gamma_bar, 1)
+        for source in (gamma, gamma_bar):
+            for f in range(two_m):
+                if f != source and M[source][f]:
+                    record("col_add", f, source, -M[source][f])
+        frozen.extend((gamma, gamma_bar))
+        contraction_order.append(gamma)
+
+        lo, hi = (u, v) if u < v else (v, u)
+        sizes[lo] += sizes[hi]
+        del sizes[hi]
+        H = contract_edge(H, j)
+        orig.pop(j)
+        _check_contraction_state(M, ones, H, orig, m, frozen, sizes)
+
+    # single-vertex block: surviving loops, both orientations
+    loops = orig
+    loops_bar = [x + m for x in loops]
+    for i in range(g):
+        record("row_add", loops_bar[i], loops[i], -1)
+    for i in range(g):
+        record("col_add", loops_bar[i], loops[i], -1)
+    for j in range(1, g):
+        record("col_add", loops[j], loops[0], -1)
+    for i in range(g - 1):
+        record("row_add", loops[g - 1], loops[i], 1)
+    for i in range(1, g - 1):
+        record("row_add", loops[0], loops[i], 1)
+    if g >= 3:
+        record("col_add", loops[0], loops[g - 1], -(g - 2))
+    for i in range(1, g - 1):
+        record("col_add", loops[0], loops[i], 1)
+
+    # sort: units, then the generator of the torsion part, then zeros
+    row_order = sorted(frozen + loops[: g - 1]) + [loops[g - 1]] + sorted(loops_bar)
+    col_order = list(row_order)
+    if g >= 2:
+        swap = {loops[0]: loops[g - 1], loops[g - 1]: loops[0]}
+        col_order = [swap.get(r, r) for r in row_order]
+
+    current = list(range(two_m))
+    for p, want in enumerate(row_order):
+        q = current.index(want)
+        if q != p:
+            record("row_swap", p, q)
+            current[p], current[q] = current[q], current[p]
+    current = list(range(two_m))
+    for p, want in enumerate(col_order):
+        q = current.index(want)
+        if q != p:
+            record("col_swap", p, q)
+            current[p], current[q] = current[q], current[p]
+
+    diag = [M[i][i] for i in range(two_m)]
+    if any(M[i][j] for i in range(two_m) for j in range(two_m) if i != j):
+        raise TheoremViolation("the contraction reduction must end diagonal")
+    if not (
+        all(abs(d) == 1 for d in diag[: two_m - g - 1])
+        and abs(diag[two_m - g - 1]) == g - 1
+        and not any(diag[two_m - g :])
+    ):
+        raise TheoremViolation("the reduced diagonal must be units, g - 1, then g zeros")
+    b = [row[0] for row in ones]
+    if b[two_m - g - 1] != g * n_orig or any(b[two_m - g :]):
+        raise TheoremViolation("the ones-image must end with g * |V| and g zeros")
+    return ReductionTranscript(
+        size=two_m,
+        vertex_count=n_orig,
+        genus=g,
+        operations=tuple(ops),
+        ones_image=tuple(b),
+        final_diagonal=tuple(diag),
+        contraction_order=tuple(contraction_order),
+    )
+
+
+def _check_contraction_state(M, b, H, orig, m, frozen, sizes):
+    # Frozen rows and columns must be unit vectors; the active submatrix
+    # must equal 1 - A of the contracted graph; the running ones-image (a
+    # one-column matrix b) on an active row counts the original vertices merged into its terminus.
+    m_h = len(H.edges)
+    ends = oriented_edges(H)
+    active = [orig[k] if k < m_h else orig[k - m_h] + m for k in range(2 * m_h)]
+    A_h = edge_matrix(H)
+    for fr in frozen:
+        unit = [1 if c == fr else 0 for c in range(len(M))]
+        if M[fr] != unit or [row[fr] for row in M] != unit:
+            raise TheoremViolation("a contracted row and column must be a unit vector")
+    for k1_, r in enumerate(active):
+        for k2_, c in enumerate(active):
+            if M[r][c] != (1 if k1_ == k2_ else 0) - A_h[k1_][k2_]:
+                raise TheoremViolation("the active block must be 1 - A of the contracted graph")
+    for k, r in enumerate(active):
+        if b[r][0] != sizes[ends[k][1]]:
+            raise TheoremViolation("the ones-image must count the vertices merged into a terminus")
+
+
+def _random_connected_graph(two_m, seed):
+    rng = random.Random(seed)
+    n = max(1, two_m // 4)  # m = 2|V|
+    while True:
+        G = Multigraph(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(two_m // 2)))
+        if is_connected(G):
+            return G
+
+
+def _reversing_contract_edge(G, e):
+    # a lying contraction: the right graph, its surviving edges listed backwards
+    H = contract_edge(G, e)
+    return Multigraph(H.vertex_count, H.edges[::-1])
+
+
+class TestTranscriptFromTheGraph:
+    # contraction_reduce reads each round off the contracted graph; the dense
+    # loop above reads it off 1 - A and checks the state lemma every round
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_equals_dense_loop_on_small_classes(self, seed):
+        graphs = [G for G in enumerate_connected(5, 6) if betti_number(G) >= 1]
+        for G in graphs:
+            rng = None if seed is None else random.Random(seed)
+            dense_rng = None if seed is None else random.Random(seed)
+            assert contraction_reduce(G, rng) == dense_contraction_reduce(G, dense_rng)
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("two_m", [8, 40, 120, 200])
+    def test_equals_dense_loop_on_random_graphs(self, two_m, seed):
+        G = _random_connected_graph(two_m, two_m)
+        rng = None if seed is None else random.Random(seed)
+        dense_rng = None if seed is None else random.Random(seed)
+        assert contraction_reduce(G, rng) == dense_contraction_reduce(G, dense_rng)
+
+    @pytest.mark.parametrize("g", [3, 4])
+    def test_lying_contraction_raises(self, g, monkeypatch):
+        import graphkt.ktheory as ktheory_mod
+
+        monkeypatch.setattr(ktheory_mod, "contract_edge", _reversing_contract_edge)
+        with pytest.raises(TheoremViolation, match="must end diagonal"):
+            contraction_reduce(generate_chain(g))
+
+    def test_lying_contraction_recorded_by_sweep(self, monkeypatch):
+        import graphkt.ktheory as ktheory_mod
+
+        monkeypatch.setattr(ktheory_mod, "contract_edge", _reversing_contract_edge)
+        report = run_sweep(SweepConfig(max_vertices=3, max_edges=4))
+        assert not report.ok
+        assert "reduction_transcript" in {f.check for f in report.failures}
+
+    def test_one_build_of_one_minus_a_whatever_the_rounds(self, monkeypatch):
+        import graphkt.edge_operator as edge_mod
+        import graphkt.ktheory as ktheory_mod
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(G):
+                calls.append(name)
+                return fn(G)
+
+            return wrapper
+
+        monkeypatch.setattr(edge_mod, "edge_matrix", counted("A", edge_mod.edge_matrix))
+        monkeypatch.setattr(
+            ktheory_mod, "one_minus_edge_matrix", counted("1 - A", one_minus_edge_matrix)
+        )
+        # a binding of edge_matrix by name in ktheory would bypass the first patch
+        monkeypatch.setattr(ktheory_mod, "edge_matrix", counted("A", edge_matrix), raising=False)
+        t = contraction_reduce(generate_chain(4))
+        assert len(t.contraction_order) == 5
+        assert sorted(calls) == ["1 - A", "A"]
 
 
 class TestUnitOrder:
