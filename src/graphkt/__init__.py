@@ -18,7 +18,7 @@ from .multigraph import (
     graph_to_json,
     parse_graph,
 )
-from .ktheory import classify_stable, classify_strict, ktheory_report, report_to_json_dict
+from .ktheory import classify_stable, classify_strict, ktheory_report
 from .ihara_zeta import zeta_report
 from .sweep import SweepConfig, run_sweep
 

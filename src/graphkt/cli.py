@@ -19,14 +19,8 @@ from functools import cache
 from pathlib import Path
 
 from .errors import DomainError, GraphParseError, TheoremViolation
-from .ihara_zeta import zeta_report, zeta_report_to_json_dict
-from .ktheory import (
-    INDETERMINATE,
-    classify_stable,
-    classify_strict,
-    ktheory_report,
-    report_to_json_dict,
-)
+from .ihara_zeta import zeta_report
+from .ktheory import INDETERMINATE, classify_stable, classify_strict, ktheory_report
 from .multigraph import (
     format_graph,
     generate_chain,
@@ -78,8 +72,7 @@ def _emit(payload, fmt):
 
 
 def _cmd_invariants(args):
-    report = ktheory_report(_read_graph(args.path))
-    _emit(report_to_json_dict(report), args.format)
+    _emit(ktheory_report(_read_graph(args.path)), args.format)
     return EXIT_OK
 
 
@@ -87,13 +80,12 @@ def _cmd_classify(args):
     G1 = _read_graph(args.path1)
     G2 = _read_graph(args.path2)
     verdict = classify_strict(G1, G2) if args.strict else classify_stable(G1, G2)
-    _emit(verdict.to_json_dict(), args.format)
-    return EXIT_INDETERMINATE if verdict.verdict == INDETERMINATE else EXIT_OK
+    _emit(verdict, args.format)
+    return EXIT_INDETERMINATE if verdict["verdict"] == INDETERMINATE else EXIT_OK
 
 
 def _cmd_zeta(args):
-    report = zeta_report(_read_graph(args.path))
-    _emit(zeta_report_to_json_dict(report), args.format)
+    _emit(zeta_report(_read_graph(args.path)), args.format)
     return EXIT_OK
 
 
@@ -101,7 +93,10 @@ def _cmd_generate(args):
     G = _FAMILIES[args.family](args.parameter)
     text = graph_to_json(G) + "\n" if args.format == "json" else format_graph(G)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -116,20 +111,11 @@ def _cmd_verify(args):
         seed=args.seed,
     )
     report = run_sweep(config)
-    payload = {
-        "graphs_checked": report.graphs_checked,
-        "checks": report.counts,
-        "failures": [
-            {"check": f.check, "message": f.message, "graph": f.graph_text}
-            for f in report.failures
-        ],
-        "ok": report.ok,
-    }
-    _emit(payload, args.format)
-    if not report.ok:
-        first = report.failures[0]
+    _emit(report, args.format)
+    if not report["ok"]:
+        first = report["failures"][0]
         print(
-            f"counterexample for {first.check}: {first.message}\n{first.graph_text}",
+            f"counterexample for {first['check']}: {first['message']}\n{first['graph']}",
             file=sys.stderr,
         )
         return EXIT_COUNTEREXAMPLE

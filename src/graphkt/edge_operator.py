@@ -67,10 +67,13 @@ def edge_matrix(G):
 
 
 def one_minus_edge_matrix(G):
-    """1 - A for the graph's edge matrix."""
-    A = edge_matrix(G)
-    n = len(A)
-    return [[(1 if i == j else 0) - A[i][j] for j in range(n)] for i in range(n)]
+    """1 - A for the graph's edge matrix, built over A's own rows so that
+    only one extra row is ever held."""
+    M = edge_matrix(G)
+    for i, row in enumerate(M):
+        M[i] = [-a for a in row]
+        M[i][i] += 1
+    return M
 
 
 def is_irreducible(A):

@@ -13,8 +13,6 @@ of data, so any disagreement raises TheoremViolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .edge_operator import edge_matrix
 from .errors import DomainError, TheoremViolation
 from .exact_linalg import (
@@ -34,9 +32,7 @@ __all__ = [
     "edge_charpoly",
     "ihara_rhs",
     "vanishing_order_at_one",
-    "ZetaReport",
     "zeta_report",
-    "zeta_report_to_json_dict",
 ]
 
 
@@ -89,15 +85,9 @@ def vanishing_order_at_one(p):
     return order
 
 
-@dataclass(frozen=True)
-class ZetaReport:
-    g: int
-    edge_poly: tuple
-    vertex_poly: tuple
-    ord_at_one: int
-
-
 def zeta_report(G):
+    """Both zeta sides, checked equal, and their vanishing order at u = 1,
+    as printed; coefficient lists are lowest degree first."""
     rank = expected_invariants(G)[1]  # DomainError below g = 1
     edge_poly = edge_charpoly(G)
     vertex_poly = ihara_rhs(G)
@@ -106,20 +96,10 @@ def zeta_report(G):
     order = vanishing_order_at_one(edge_poly)
     if order != rank:
         raise TheoremViolation(f"vanishing order {order} at u = 1 must equal the kernel rank")
-    return ZetaReport(
-        g=betti_number(G),
-        edge_poly=tuple(edge_poly),
-        vertex_poly=tuple(vertex_poly),
-        ord_at_one=order,
-    )
-
-
-def zeta_report_to_json_dict(report):
-    # coefficient arrays are lowest degree first
     return {
-        "g": report.g,
-        "edge_poly": list(report.edge_poly),
-        "vertex_poly": list(report.vertex_poly),
-        "identity_holds": True,  # zeta_report raises on a mismatch
-        "ord_at_one": report.ord_at_one,
+        "g": betti_number(G),
+        "edge_poly": edge_poly,
+        "vertex_poly": vertex_poly,
+        "identity_holds": True,  # raised above on a mismatch
+        "ord_at_one": order,
     }

@@ -49,13 +49,10 @@ __all__ = [
     "unit_order",
     "expected_invariants",
     "simplicity_flags",
-    "ClassificationVerdict",
     "classify_stable",
     "classify_strict",
     "boundary_algebra_compatible",
-    "KTheoryReport",
     "ktheory_report",
-    "report_to_json_dict",
 ]
 
 
@@ -375,32 +372,20 @@ NOT_ISOMORPHIC = "NOT_ISOMORPHIC"
 INDETERMINATE = "INDETERMINATE"
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
-    mode: str
-    verdict: str
-    g: tuple
-    k0: tuple
-    simple_claim_applicable: tuple
-    unit_orders: tuple | None = None
-    reason: str | None = None
+def _group_json(group):
+    return {"rank": group.free_rank, "torsion": list(group.torsion)}
 
-    def to_json_dict(self):
-        out = {
-            "mode": self.mode,
-            "verdict": self.verdict,
-            "g": list(self.g),
-            "k0": [
-                {"rank": grp.free_rank, "torsion": list(grp.torsion)}
-                for grp in self.k0
-            ],
-            "simple_claim_applicable": list(self.simple_claim_applicable),
-        }
-        if self.unit_orders is not None:
-            out["unit_orders"] = list(self.unit_orders)
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
+
+def _verdict(mode, verdict, g, groups, flags, **extra):
+    """The printed verdict; ``extra`` appends unit_orders, then reason."""
+    return {
+        "mode": mode,
+        "verdict": verdict,
+        "g": list(g),
+        "k0": [_group_json(grp) for grp in groups],
+        "simple_claim_applicable": list(flags),
+        **extra,
+    }
 
 
 _CLASSIFY_MESSAGE = "classification proven only for g >= 2"
@@ -416,17 +401,10 @@ def classify_stable(G1, G2):
     if (g1 == g2) != (groups[0] == groups[1]):
         raise TheoremViolation("degree-zero groups must match exactly when g does")
     flags = (simplicity_flags(G1, g1)[2], simplicity_flags(G2, g2)[2])
-    reason = None
+    out = _verdict("stable", EQUIVALENT if g1 == g2 else NOT_EQUIVALENT, (g1, g2), groups, flags)
     if not all(flags):
-        reason = "simplicity hypothesis fails on an input; verdict carries that caveat"
-    return ClassificationVerdict(
-        mode="stable",
-        verdict=EQUIVALENT if g1 == g2 else NOT_EQUIVALENT,
-        g=(g1, g2),
-        k0=groups,
-        simple_claim_applicable=flags,
-        reason=reason,
-    )
+        out["reason"] = "simplicity hypothesis fails on an input; verdict carries that caveat"
+    return out
 
 
 def _k0_and_unit_order(G):
@@ -444,24 +422,12 @@ def classify_strict(G1, G2):
     groups, orders = zip(_k0_and_unit_order(G1), _k0_and_unit_order(G2))
     flags = (simplicity_flags(G1, g1)[2], simplicity_flags(G2, g2)[2])
     if not all(flags):
-        return ClassificationVerdict(
-            mode="strict",
-            verdict=INDETERMINATE,
-            g=(g1, g2),
-            k0=groups,
-            simple_claim_applicable=flags,
-            unit_orders=orders,
-            reason="simplicity hypothesis fails, so the unit-position criterion does not apply",
-        )
+        reason = "simplicity hypothesis fails, so the unit-position criterion does not apply"
+        return _verdict("strict", INDETERMINATE, (g1, g2), groups, flags,
+                        unit_orders=list(orders), reason=reason)
     isomorphic = g1 == g2 and orders[0] == orders[1]
-    return ClassificationVerdict(
-        mode="strict",
-        verdict=ISOMORPHIC if isomorphic else NOT_ISOMORPHIC,
-        g=(g1, g2),
-        k0=groups,
-        simple_claim_applicable=flags,
-        unit_orders=orders,
-    )
+    verdict = ISOMORPHIC if isomorphic else NOT_ISOMORPHIC
+    return _verdict("strict", verdict, (g1, g2), groups, flags, unit_orders=list(orders))
 
 
 def boundary_algebra_compatible(G):
@@ -471,23 +437,8 @@ def boundary_algebra_compatible(G):
     return expected_invariants(G)[2] == g - 1
 
 
-@dataclass(frozen=True)
-class KTheoryReport:
-    g: int
-    vertex_count: int
-    edge_count: int
-    k0: AbelianGroup
-    k1_rank: int
-    k1_basis: tuple
-    unit_order: int | None
-    unit_witness: tuple | None
-    irreducible: bool
-    permutation: bool
-    simple_claim_applicable: bool
-
-
 def ktheory_report(G):
-    """Full invariant report with all cross-checks applied."""
+    """Full invariant report with all cross-checks applied, as printed."""
     g = _require_genus(G, 1)
     M, snf = _decompose(G)
     group = snf.cokernel
@@ -499,41 +450,19 @@ def ktheory_report(G):
     if rank != expected_rank:
         raise TheoremViolation(f"unexpected kernel rank {rank} for g = {g}")
     position = _unit_position(G, M, snf)
-    order = None if position is None else position[0]
-    witness = None if position is None else tuple(position[1])
     irreducible, permutation, simple = simplicity_flags(G, g)
-    return KTheoryReport(
-        g=g,
-        vertex_count=G.vertex_count,
-        edge_count=len(G.edges),
-        k0=group,
-        k1_rank=rank,
-        k1_basis=tuple(tuple(row) for row in basis),
-        unit_order=order,
-        unit_witness=witness,
-        irreducible=irreducible,
-        permutation=permutation,
-        simple_claim_applicable=simple,
-    )
-
-
-def report_to_json_dict(report):
     return {
-        "g": report.g,
-        "vertices": report.vertex_count,
-        "edges": report.edge_count,
-        "k0": {"rank": report.k0.free_rank, "torsion": list(report.k0.torsion)},
-        "k1_rank": report.k1_rank,
-        "k1_basis": [list(row) for row in report.k1_basis],
-        "unit_order": report.unit_order,
-        "witnesses": {
-            "unit_preimage": None
-            if report.unit_witness is None
-            else list(report.unit_witness)
-        },
+        "g": g,
+        "vertices": G.vertex_count,
+        "edges": len(G.edges),
+        "k0": _group_json(group),
+        "k1_rank": rank,
+        "k1_basis": [list(row) for row in basis],
+        "unit_order": None if position is None else position[0],
+        "witnesses": {"unit_preimage": None if position is None else list(position[1])},
         "simplicity": {
-            "irreducible": report.irreducible,
-            "permutation": report.permutation,
-            "simple_claim_applicable": report.simple_claim_applicable,
+            "irreducible": irreducible,
+            "permutation": permutation,
+            "simple_claim_applicable": simple,
         },
     }

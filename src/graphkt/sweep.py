@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
 from math import gcd
@@ -50,8 +50,6 @@ from .multigraph import (
 
 __all__ = [
     "SweepConfig",
-    "SweepFailure",
-    "SweepReport",
     "canonical_key",
     "enumerate_connected",
     "random_connected",
@@ -409,7 +407,7 @@ def check_contraction_claim(ctx):
 def check_bass_identity(ctx):
     if ctx.g < 1:
         return False
-    order = ihara_zeta.zeta_report(ctx.graph).ord_at_one  # raises on an edge/vertex mismatch
+    order = ihara_zeta.zeta_report(ctx.graph)["ord_at_one"]  # raises on an edge/vertex mismatch
     rank = sum(1 for d in ctx.snf.diagonal if d)
     _need(order == len(ctx.M) - rank, "vanishing order must equal the corank of 1 - A")
     return True
@@ -462,46 +460,33 @@ CHECKS = [
 CHECK_NAMES = [name for name, _ in CHECKS]
 
 
-@dataclass(frozen=True)
-class SweepFailure:
-    check: str
-    message: str
-    graph_text: str
-
-
-@dataclass
-class SweepReport:
-    graphs_checked: int = 0
-    counts: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
 def run_sweep(config=SweepConfig(), max_failures=10):
-    """Run every check on every graph.  A mismatch a check finds itself and
-    a TheoremViolation raised by the library code it calls are both
-    recorded as that check's counterexample."""
+    """Run every check on every graph, as the printed report.  A mismatch a
+    check finds itself and a TheoremViolation raised by the library code it
+    calls are both recorded as that check's counterexample."""
     if config.mode == "exhaustive":
         graphs = enumerate_connected(config.max_vertices, config.max_edges)
     elif config.mode == "random":
         graphs = random_connected(config)
     else:
         raise ValueError(f"unknown sweep mode {config.mode!r}")
-    report = SweepReport(counts={name: 0 for name in CHECK_NAMES})
+    if not graphs:
+        raise DomainError("bounds admit no graph to check")
+    counts = {name: 0 for name in CHECK_NAMES}
+    failures = []
+    report = {"graphs_checked": 0, "checks": counts, "failures": failures, "ok": True}
     for G in graphs:
-        report.graphs_checked += 1
+        report["graphs_checked"] += 1
         ctx = GraphChecks(G)
         for name, fn in CHECKS:
             try:
                 applied = fn(ctx)
             except (CheckFailed, TheoremViolation) as exc:
-                report.failures.append(SweepFailure(name, str(exc), format_graph(G)))
-                if len(report.failures) >= max_failures:
+                failures.append({"check": name, "message": str(exc), "graph": format_graph(G)})
+                report["ok"] = False
+                if len(failures) >= max_failures:
                     return report
             else:
                 if applied:
-                    report.counts[name] += 1
+                    counts[name] += 1
     return report

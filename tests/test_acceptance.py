@@ -239,10 +239,10 @@ def test_criterion_09_order_realization():
     assert {o for o in orders} == {1, 2, 3, 6}  # every divisor of g - 1 = 6
     # same stable class throughout, strictly distinct somewhere
     for S in stages[1:]:
-        assert classify_stable(stages[0], S).verdict == "EQUIVALENT"
+        assert classify_stable(stages[0], S)["verdict"] == "EQUIVALENT"
     low = next(S for S, o in zip(stages, orders) if o == 1)
     high = next(S for S, o in zip(stages, orders) if o == 6)
-    assert classify_strict(low, high).verdict == "NOT_ISOMORPHIC"
+    assert classify_strict(low, high)["verdict"] == "NOT_ISOMORPHIC"
     print("PASS criterion 9: chain(7) stages realize unit orders {1, 2, 3, 6}")
 
 

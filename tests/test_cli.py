@@ -234,6 +234,12 @@ class TestGenerate:
     def test_bad_parameter_exits_2(self, capsys):
         assert main(["generate", "chain", "1"]) == 2
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.graph"
+        assert main(["generate", "flower", "2", "--out", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot write {target}: ")
+
 
 class TestVerify:
     def test_small_sweep(self, capsys):
@@ -255,6 +261,17 @@ class TestVerify:
     def test_empty_random_bounds_exit_2(self, capsys, bound):
         assert main(["verify", "--random", *bound]) == 2
         assert "error: bounds admit no connected graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--max-vertices", "0"], ["--max-edges", "-1"],
+         ["--random", "--samples", "0"], ["--random", "--samples", "-5"]],
+    )
+    def test_bounds_admitting_no_graph_exit_2(self, capsys, bounds):
+        # a sweep that checks nothing must not report ok
+        assert main(["verify", *bounds]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_counterexample_exits_5(self, capsys, monkeypatch):
         import graphkt.sweep as sweep_mod

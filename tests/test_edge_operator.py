@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,6 +9,7 @@ from graphkt.edge_operator import (
     edge_matrix,
     is_irreducible,
     is_permutation,
+    one_minus_edge_matrix,
     oriented_edges,
     reversal,
 )
@@ -129,3 +132,26 @@ def test_edge_count_limit_refused_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # one row of A alone would take 64 KB, all of A 0.5 GB
+
+
+def test_one_minus_a_built_over_the_rows_of_a():
+    # 1 - A holds A's memory plus one row at a time, never a second 2m x 2m
+    # matrix: its peak stays near that of A alone (2m = 400 here)
+    import tracemalloc
+
+    rng = random.Random(400)
+    n = 100
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(200 - len(edges))]
+    G = Multigraph(n, tuple(edges))
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build(G)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert len(one_minus_edge_matrix(G)) == 400
+    assert peak(one_minus_edge_matrix) <= 1.2 * peak(edge_matrix)

@@ -5,7 +5,9 @@
 invariants were read from a single Smith form.  Any change to the bytes
 (witnesses and kernel bases included) fails here.  It also holds what
 ``verify`` printed before its classes grew from their parents and its
-Smith forms were checked through their logs.
+Smith forms were checked through their logs, and what ``zeta``, the
+``--format text`` views and an INDETERMINATE classification printed, with
+their exit codes, before the reports became the dicts they print.
 """
 
 from pathlib import Path
@@ -37,6 +39,24 @@ VERIFY_CASES = {
     "verify_random_s25_seed42": ["verify", "--random", "--samples", "25", "--seed", "42"],
 }
 
+# name -> (argv, exit code); argv entries ending in .graph name golden inputs
+WITH_EXIT_CODES = {
+    **{f"zeta_{g}": (["zeta", f"{g}.graph"], 0)
+       for g in ("chain5", "flower1", "flower4", "flower5", "mixed", "theta4")},
+    "invariants_flower1_text": (["invariants", "flower1.graph", "--format", "text"], 0),
+    "invariants_flower5_text": (["invariants", "flower5.graph", "--format", "text"], 0),
+    "classify_strict_flower4_theta4_text": (
+        ["classify", "flower4.graph", "theta4.graph", "--strict", "--format", "text"], 0),
+    "classify_stable_flower4_theta4_text": (
+        ["classify", "flower4.graph", "theta4.graph", "--stable", "--format", "text"], 0),
+    # mixed.graph has a pendant vertex, so the strict verdict is INDETERMINATE
+    "classify_strict_mixed_flower4": (
+        ["classify", "mixed.graph", "flower4.graph", "--strict"], 4),
+    "zeta_theta4_text": (["zeta", "theta4.graph", "--format", "text"], 0),
+    "verify_n3_m4_text": (
+        ["verify", "--max-vertices", "3", "--max-edges", "4", "--format", "text"], 0),
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(capsys, name):
@@ -49,6 +69,15 @@ def test_stdout_matches_golden(capsys, name):
 def test_verify_stdout_matches_golden(capsys, name):
     assert main(VERIFY_CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(WITH_EXIT_CODES))
+def test_output_and_exit_code_match_golden(capsys, name):
+    argv, code = WITH_EXIT_CODES[name]
+    argv = [str(GOLDEN / a) if a.endswith(".graph") else a for a in argv]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == ((GOLDEN / f"{name}.out").read_text(), "")
 
 
 def test_reports_never_build_the_witnesses(monkeypatch, capsys):

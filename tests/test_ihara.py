@@ -23,7 +23,6 @@ from graphkt.ihara_zeta import (
     ihara_rhs,
     vanishing_order_at_one,
     vertex_adjacency_matrix,
-    zeta_report_to_json_dict,
 )
 from graphkt.multigraph import is_connected
 
@@ -188,8 +187,7 @@ class TestVanishingOrder:
 
 
 def test_zeta_report_json():
-    report = zeta_report(generate_flower(2))
-    payload = zeta_report_to_json_dict(report)
+    payload = zeta_report(generate_flower(2))
     assert payload["identity_holds"] is True
     assert payload["ord_at_one"] == 2
     assert payload["edge_poly"] == [1, -4, 2, 4, -3]

@@ -17,7 +17,6 @@ from graphkt import (
     generate_flower,
     generate_theta,
     ktheory_report,
-    report_to_json_dict,
 )
 from graphkt.edge_operator import (
     edge_matrix,
@@ -436,8 +435,8 @@ class TestTranscriptFromTheGraph:
 
         monkeypatch.setattr(ktheory_mod, "contract_edge", _reversing_contract_edge)
         report = run_sweep(SweepConfig(max_vertices=3, max_edges=4))
-        assert not report.ok
-        assert "reduction_transcript" in {f.check for f in report.failures}
+        assert not report["ok"]
+        assert "reduction_transcript" in {f["check"] for f in report["failures"]}
 
     def test_one_build_of_one_minus_a_whatever_the_rounds(self, monkeypatch):
         import graphkt.edge_operator as edge_mod
@@ -488,38 +487,43 @@ class TestUnitOrder:
         assert (g - 1) % lam == 0
 
 
+def _group_dict(group):
+    # an AbelianGroup as the reports print it
+    return {"rank": group.free_rank, "torsion": list(group.torsion)}
+
+
 class TestClassify:
     def test_stable_equivalent(self):
         v = classify_stable(generate_flower(3), generate_theta(3))
-        assert v.verdict == "EQUIVALENT"
-        assert v.k0[0] == v.k0[1] == AbelianGroup(3, (2,))
+        assert v["verdict"] == "EQUIVALENT"
+        assert v["k0"][0] == v["k0"][1] == _group_dict(AbelianGroup(3, (2,)))
 
     def test_stable_not(self):
         v = classify_stable(generate_flower(3), generate_flower(4))
-        assert v.verdict == "NOT_EQUIVALENT"
-        assert v.k0[0].torsion == (2,) and v.k0[1].torsion == (3,)
+        assert v["verdict"] == "NOT_EQUIVALENT"
+        assert v["k0"][0]["torsion"] == [2] and v["k0"][1]["torsion"] == [3]
 
     def test_stable_chain_vs_flower(self):
-        assert classify_stable(generate_chain(3), generate_flower(3)).verdict == "EQUIVALENT"
+        assert classify_stable(generate_chain(3), generate_flower(3))["verdict"] == "EQUIVALENT"
 
     def test_strict_flower_theta(self):
         v = classify_strict(generate_flower(3), generate_theta(3))
-        assert v.verdict == "NOT_ISOMORPHIC"
-        assert v.unit_orders == (2, 1)
+        assert v["verdict"] == "NOT_ISOMORPHIC"
+        assert v["unit_orders"] == [2, 1]
 
     def test_strict_theta4_flower4(self):
         v = classify_strict(generate_theta(4), generate_flower(4))
-        assert v.verdict == "ISOMORPHIC"
-        assert v.unit_orders == (3, 3)
+        assert v["verdict"] == "ISOMORPHIC"
+        assert v["unit_orders"] == [3, 3]
 
     def test_strict_reflexive(self):
-        assert classify_strict(generate_flower(3), generate_flower(3)).verdict == "ISOMORPHIC"
+        assert classify_strict(generate_flower(3), generate_flower(3))["verdict"] == "ISOMORPHIC"
 
     def test_strict_homotopy_witness(self):
         v = classify_strict(generate_chain(5), generate_flower(5))
-        assert v.verdict == "NOT_ISOMORPHIC"
-        assert v.unit_orders == (1, 4)
-        assert classify_stable(generate_chain(5), generate_flower(5)).verdict == "EQUIVALENT"
+        assert v["verdict"] == "NOT_ISOMORPHIC"
+        assert v["unit_orders"] == [1, 4]
+        assert classify_stable(generate_chain(5), generate_flower(5))["verdict"] == "EQUIVALENT"
 
     def test_low_genus_rejected(self):
         with pytest.raises(DomainError, match="g >= 2"):
@@ -527,15 +531,15 @@ class TestClassify:
 
     def test_indeterminate_on_ends(self):
         v = classify_strict(FLOWER2_PENDANT, generate_flower(2))
-        assert v.verdict == "INDETERMINATE"
-        assert v.simple_claim_applicable == (False, True)
-        assert v.reason
+        assert v["verdict"] == "INDETERMINATE"
+        assert v["simple_claim_applicable"] == [False, True]
+        assert v["reason"]
 
     def test_stable_carries_caveat(self):
         v = classify_stable(FLOWER2_PENDANT, generate_flower(2))
-        assert v.verdict == "EQUIVALENT"
-        assert v.simple_claim_applicable == (False, True)
-        assert v.reason
+        assert v["verdict"] == "EQUIVALENT"
+        assert v["simple_claim_applicable"] == [False, True]
+        assert v["reason"]
 
 
 def test_transcript_exports_operation_log():
@@ -575,7 +579,8 @@ def test_order_realization_all_divisors(g):
 def test_expected_invariants(G, group, order):
     assert expected_invariants(G) == (group, group.free_rank, order)
     rep = ktheory_report(G)
-    assert (rep.k0, rep.k1_rank, rep.unit_order) == (group, group.free_rank, order)
+    assert (rep["k0"], rep["k1_rank"], rep["unit_order"]) == (
+        _group_dict(group), group.free_rank, order)
 
 
 class TestBoundaryCompatible:
@@ -606,19 +611,19 @@ def test_automorphism_order_criterion():
 class TestReport:
     def test_flower3(self):
         rep = ktheory_report(generate_flower(3))
-        assert rep.g == 3
-        assert rep.k0 == AbelianGroup(3, (2,))
-        assert rep.k1_rank == 3
-        assert rep.unit_order == 2
-        assert rep.simple_claim_applicable
+        assert rep["g"] == 3
+        assert rep["k0"] == _group_dict(AbelianGroup(3, (2,)))
+        assert rep["k1_rank"] == 3
+        assert rep["unit_order"] == 2
+        assert rep["simplicity"]["simple_claim_applicable"]
 
     def test_g1(self):
         rep = ktheory_report(generate_flower(1))
-        assert rep.unit_order is None and rep.unit_witness is None
-        assert rep.k0 == AbelianGroup(2)
+        assert rep["unit_order"] is None and rep["witnesses"]["unit_preimage"] is None
+        assert rep["k0"] == _group_dict(AbelianGroup(2))
 
     def test_json_shape(self):
-        payload = report_to_json_dict(ktheory_report(generate_theta(3)))
+        payload = ktheory_report(generate_theta(3))
         assert payload["g"] == 3
         assert payload["k0"] == {"rank": 3, "torsion": [2]}
         assert payload["unit_order"] == 1
@@ -632,11 +637,11 @@ class TestReport:
         # transpose of 1 - A, reduced independently, must give the same
         rep = ktheory_report(G)
         Mt = transpose(one_minus_edge_matrix(G))
-        assert rep.k0 == cokernel(Mt)
-        assert [list(row) for row in rep.k1_basis] == kernel_basis(Mt)
+        assert rep["k0"] == _group_dict(cokernel(Mt))
+        assert rep["k1_basis"] == kernel_basis(Mt)
         assert k1(G)[1] == kernel_basis(Mt)
         other = solve_min_scalar(Mt, [1] * len(Mt))
-        assert rep.unit_order == (None if other is None else other[0])
+        assert rep["unit_order"] == (None if other is None else other[0])
 
 
 def test_simplicity_flags_match_the_dense_scans():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphkt import Multigraph, format_graph, generate_flower, generate_theta
+from graphkt import DomainError, Multigraph, format_graph, generate_flower, generate_theta
 from graphkt.exact_linalg import SmithDecomposition
 from graphkt.multigraph import betti_number, edges_connect, is_connected, valences
 from graphkt.sweep import (
@@ -192,9 +192,9 @@ class TestRandomMode:
 class TestRunSweep:
     def test_small_exhaustive_passes(self):
         report = run_sweep(SweepConfig(max_vertices=3, max_edges=4))
-        assert report.ok
-        assert report.graphs_checked > 20
-        assert report.counts["snf_diagonal"] == sum(
+        assert report["ok"]
+        assert report["graphs_checked"] > 20
+        assert report["checks"]["snf_diagonal"] == sum(
             1
             for G in enumerate_connected(3, 4)
             if betti_number(G) >= 1
@@ -217,15 +217,24 @@ class TestRunSweep:
         for mod in (linalg_mod, ktheory_mod, sweep_mod):
             monkeypatch.setattr(mod, "smith_normal_form", counted)
         report = run_sweep(SweepConfig(max_vertices=3, max_edges=4))
-        assert report.ok
+        assert report["ok"]
         cyclic = [G for G in enumerate_connected(3, 4) if betti_number(G) >= 1]
         contractions = sum(1 for G in cyclic for u, v in G.edges if u != v)
         assert len(calls) == 2 * len(cyclic) + contractions
 
+    @pytest.mark.parametrize(
+        "config",
+        [SweepConfig(max_vertices=0), SweepConfig(max_edges=-1),
+         SweepConfig(mode="random", sample_count=0)],
+    )
+    def test_no_graph_to_check_refused(self, config):
+        with pytest.raises(DomainError, match="admit no graph"):
+            run_sweep(config)
+
     def test_random_mode_passes(self):
         report = run_sweep(SweepConfig(mode="random", sample_count=40, seed=7))
-        assert report.ok
-        assert report.graphs_checked == 40
+        assert report["ok"]
+        assert report["graphs_checked"] == 40
 
     def test_mutant_detected(self, monkeypatch):
         # flipping one entry of the edge matrix must trip the sweep
@@ -240,8 +249,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_mod, "edge_matrix", lying)
         report = run_sweep(SweepConfig(max_vertices=2, max_edges=3), max_failures=1)
-        assert not report.ok
-        assert report.failures[0].graph_text.startswith("vertices")
+        assert not report["ok"]
+        assert report["failures"][0]["graph"].startswith("vertices")
 
     def test_mutant_behind_one_minus_edge_matrix_detected(self, monkeypatch):
         # the same flip where 1 - A is built must trip the Smith-form checks
@@ -257,8 +266,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(edge_mod, "edge_matrix", lying)
         report = run_sweep(SweepConfig(max_vertices=2, max_edges=3), max_failures=1)
-        assert not report.ok
-        assert report.failures[0].check in ("snf_diagonal", "ktheory_groups")
+        assert not report["ok"]
+        assert report["failures"][0]["check"] in ("snf_diagonal", "ktheory_groups")
 
     def test_zeta_mismatch_fails_bass_identity_first(self, monkeypatch):
         # the sweep's Bass check goes through zeta_report, which raises on
@@ -267,8 +276,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(zeta_mod, "ihara_rhs", lambda G: [1])
         report = run_sweep(SweepConfig(max_vertices=2, max_edges=3), max_failures=1)
-        assert report.failures[0].check == "bass_identity"
-        assert report.failures[0].message == "edge and vertex zeta polynomials disagree"
+        assert report["failures"][0]["check"] == "bass_identity"
+        assert report["failures"][0]["message"] == "edge and vertex zeta polynomials disagree"
 
     def test_theorem_violation_in_check_recorded(self, monkeypatch):
         # a library cross-check that raises inside a check is that check's
@@ -285,7 +294,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(edge_mod, "edge_matrix", lying)
         report = run_sweep(SweepConfig(max_vertices=2, max_edges=3))
-        failures = {(f.check, f.message) for f in report.failures}
+        failures = {(f["check"], f["message"]) for f in report["failures"]}
         assert ("cycle_space_lemma", "cycle image must be annihilated by 1 - T") in failures
         assert ("reduction_transcript", "the contraction reduction must end diagonal") in failures
 
@@ -335,7 +344,7 @@ class TestSmithLogCertificate:
         monkeypatch.setattr(sweep_mod, "enumerate_connected", lambda *bounds: [self.graph])
         monkeypatch.setattr(sweep_mod.GraphChecks, "snf", property(tampered))
         report = run_sweep(SweepConfig(), max_failures=1)
-        assert [f.check for f in report.failures] == ["snf_diagonal"]
+        assert [f["check"] for f in report["failures"]] == ["snf_diagonal"]
 
 
 def test_simplicity_flags_checked_for_every_genus(monkeypatch):
@@ -344,5 +353,5 @@ def test_simplicity_flags_checked_for_every_genus(monkeypatch):
 
     monkeypatch.setattr(ktheory_mod, "simplicity_flags", lambda G, g: (False, False, False))
     report = run_sweep(SweepConfig(max_vertices=1, max_edges=1), max_failures=1)
-    assert [f.check for f in report.failures] == ["edge_matrix_structure"]
-    assert report.failures[0].graph_text == format_graph(generate_flower(1))
+    assert [f["check"] for f in report["failures"]] == ["edge_matrix_structure"]
+    assert report["failures"][0]["graph"] == format_graph(generate_flower(1))
