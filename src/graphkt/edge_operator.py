@@ -24,6 +24,7 @@ __all__ = [
     "MAX_EDGES",
     "oriented_edges",
     "reversal",
+    "successors",
     "edge_matrix",
     "one_minus_edge_matrix",
     "is_irreducible",
@@ -47,22 +48,31 @@ def reversal(i, m):
     return i + m if i < m else i - m
 
 
-def edge_matrix(G):
-    """The 2m x 2m non-backtracking adjacency matrix A."""
+def successors(G):
+    """Row k of A as a list: the oriented edges leaving the terminus of
+    oriented edge k, except its reversal."""
     m = len(G.edges)
-    if m > MAX_EDGES:
-        raise DomainError(f"{m} edges exceed the dense edge operator's limit of {MAX_EDGES}")
     ends = oriented_edges(G)
     out_at = [[] for _ in range(G.vertex_count)]
     for k, (o, _) in enumerate(ends):
         out_at[o].append(k)
-    A = [[0] * (2 * m) for _ in range(2 * m)]
+    succ = []
     for k, (_, t) in enumerate(ends):
-        rev = reversal(k, m)
-        row = A[k]
-        for k2 in out_at[t]:
-            if k2 != rev:
-                row[k2] = 1
+        row = out_at[t].copy()
+        row.remove(reversal(k, m))  # the reversal of k leaves t(k)
+        succ.append(row)
+    return succ
+
+
+def edge_matrix(G):
+    """The 2m x 2m non-backtracking adjacency matrix A, filled from ``successors``."""
+    m = len(G.edges)
+    if m > MAX_EDGES:
+        raise DomainError(f"{m} edges exceed the dense edge operator's limit of {MAX_EDGES}")
+    A = [[0] * (2 * m) for _ in range(2 * m)]
+    for row, succ in zip(A, successors(G)):
+        for k in succ:
+            row[k] = 1
     return A
 
 

@@ -3,7 +3,7 @@
 Everything here runs on Python's arbitrary-precision integers; no
 intermediate step may overflow or round.  Matrices are lists of row lists.
 Elementary row/column operations are recorded as tuples, and
-``apply_operation`` is the one place that says what each one does:
+``apply_operation`` is the one place that applies them to a matrix:
 
     ("row_add", dst, src, k)   row[dst] += k * row[src]
     ("row_swap", i, j)
@@ -17,7 +17,9 @@ one record of the transform and its certificate: a log of elementary
 operations is a product of determinant +-1 matrices, so checking each
 operation and that the log replays m to d checks x * m * y = d.  Readers
 never build x or y: they replay the log on only the vectors they need
-(kernel rows of x, kernel columns of y, x b and y z).
+(kernel rows of x and kernel columns of y through ``apply_operation``;
+x b and y z entry by entry on plain lists, which tests compare with the
+matrix replays).
 
 ``reversed_charpoly`` gives det(1 - uM) from Hessenberg reductions modulo
 primes, as many as the Hadamard bound ``charpoly_bound`` needs: one
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import TheoremViolation
 
@@ -84,7 +87,7 @@ def transpose(M):
 
 
 def mat_vec(M, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in M]
+    return [sum(map(mul, row, v)) for row in M]
 
 
 def determinant(M):
@@ -162,9 +165,31 @@ def apply_operations(M, ops):
 
 
 def apply_row_operations_to_vector(v, ops):
-    """Replay only the row operations on a vector, held as a one-column
-    matrix; column operations act on the other side and leave it untouched."""
-    return [row[0] for row in _replay_side([[x] for x in v], ops, "row_")]
+    """x v: the row operations replayed on a copy of v, the column ones skipped."""
+    return _replay_vector(v, ops, "row_")
+
+
+def _replay_vector(v, ops, side):
+    """The operations on one side replayed entry by entry on a copy of the
+    plain vector v: the row operations in order (x v), or the column
+    operations transposed and in reverse (y v, which equals
+    ``_replay_transposed([v], ops, "col_")[0]``)."""
+    v = list(v)
+    transposed = side == "col_"
+    add, swap, neg = side + "add", side + "swap", side + "neg"
+    for op in reversed(ops) if transposed else ops:
+        kind = op[0]
+        if kind == add:
+            _, d, s, k = op
+            if transposed:
+                d, s = s, d
+            v[d] += k * v[s]
+        elif kind == swap:
+            _, i, j = op
+            v[i], v[j] = v[j], v[i]
+        elif kind == neg:
+            v[op[1]] = -v[op[1]]
+    return v
 
 
 def _transposed(op):
@@ -492,8 +517,8 @@ def solve_min_scalar(M, b, snf=None):
     if snf is None:
         snf = smith_normal_form(M)
     # M w = lam b exactly when d (y^-1 w) = lam (x b): solve d z = lam c for
-    # c = x b, then w = y z.  Both products are replayed from the log, so
-    # the transforms x and y are never built.
+    # c = x b, then w = y z.  Both products are replayed from the log entry
+    # by entry, so the transforms x and y are never built.
     diag = snf.diagonal
     c = apply_row_operations_to_vector(b, snf.operations)
     lam = 1
@@ -509,7 +534,7 @@ def solve_min_scalar(M, b, snf=None):
         d = diag[i] if i < len(diag) else 0
         if d:
             z[i] = lam * c[i] // d
-    x = _replay_transposed([z], snf.operations, "col_")[0]
+    x = _replay_vector(z, snf.operations, "col_")
     if mat_vec(M, x) != [lam * v for v in b]:
         raise TheoremViolation("solver witness x must satisfy M x = lam * b")
     return lam, x

@@ -1,20 +1,21 @@
 """K-theory of the edge operator's Cuntz-Krieger algebra, from graph data.
 
-Both invariant groups are read off 1 - A with exact integer arithmetic:
-the cokernel of 1 - A^t gives the degree-zero group, the kernel of the
-operator (the right kernel of 1 - A^t, since the operator acts on column
-vectors as the transpose of A) gives the degree-one group.  The order of
-the unit class is the least positive lam with lam * (1, ..., 1) in the
-image of 1 - A.  One Smith form X (1 - A) Y = D per graph, kept as D and
-its operation log, feeds all three, through the readers of
-``exact_linalg.SmithDecomposition``: ``cokernel`` reads the degree-zero
-group off D, ``left_kernel`` spans {v : v (1 - A) = 0} by the rows of X at
-the zero positions of D, and the unit solve uses X b and Y z.  The readers
-replay the log on those few vectors only; X and Y are never built.
-A second, independent reduction of 1 - A^t cross-checks the degree-zero
-group.  Identities that must hold between independently computed
-quantities are re-verified at runtime and raise TheoremViolation on
-mismatch; that always means a bug, never bad input.
+Both invariant groups are read off graph data with exact integer
+arithmetic: the cokernel of 1 - A^t gives the degree-zero group, the kernel
+of the operator (the right kernel of 1 - A^t, since the operator acts on
+column vectors as the transpose of A) gives the degree-one group.  The
+order of the unit class is the least positive lam with lam * (1, ..., 1) in
+the image of 1 - A.  One Smith form X (1 - A) Y = D per graph, kept as D and
+its operation log, gives the degree-zero group (``cokernel``) and the unit
+solve, through X b and Y z replayed from the log; X and Y are never built.
+The kernel needs no reduction: for g >= 2 it is the lifted cycle lattice,
+and the lifted fundamental cycles of one spanning tree are its Hermite
+basis (``cycle_lattice``); for g = 1 two explicit generators span it.  Each
+basis is certified on the successor lists, and the Smith diagonal fixes the
+kernel's rank.  A second, independent reduction of 1 - A^t cross-checks the
+degree-zero group.  Identities that must hold between independently
+computed quantities are re-verified at runtime and raise TheoremViolation
+on mismatch; that always means a bug, never bad input.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
-from .edge_operator import one_minus_edge_matrix, oriented_edges
+from .edge_operator import one_minus_edge_matrix, oriented_edges, successors
 from .errors import DomainError, TheoremViolation
 from .exact_linalg import (
     AbelianGroup,
@@ -31,12 +32,11 @@ from .exact_linalg import (
     apply_row_operations_to_vector,
     cokernel,
     hermite_normal_form,
-    mat_vec,
     smith_normal_form,
     solve_min_scalar,
     transpose,
 )
-from .multigraph import betti_number, boundary, contract_edge, cycle_basis, valences
+from .multigraph import _incidence, betti_number, boundary, contract_edge, cycle_basis, valences
 
 __all__ = [
     "k0",
@@ -96,70 +96,80 @@ def k1(G):
 def phi(G, cycle):
     """Lift a cycle vector into the kernel of 1 - T: coefficient k on
     geometric edge i becomes +k on oriented index i and -k on its reversal."""
-    return _lift(G, cycle, transpose(one_minus_edge_matrix(G)))
-
-
-def _lift(G, cycle, Mt):
-    """``phi`` with 1 - A^t given as Mt, so that one build serves many cycles."""
-    m = len(G.edges)
-    if len(cycle) != m:
+    if len(cycle) != len(G.edges):
         raise DomainError("cycle vector length must equal the edge count")
     if any(boundary(G, cycle)):
         raise DomainError("not a cycle: boundary image is nonzero")
-    out = [0] * (2 * m)
-    for i, k in enumerate(cycle):
-        out[i] = k
-        out[m + i] = -k
-    if any(mat_vec(Mt, out)):
-        raise TheoremViolation("cycle image must be annihilated by 1 - T")
-    return out
+    return _annihilated(successors(G), _lift(cycle))
+
+
+def _lift(cycle):
+    return list(cycle) + [-k for k in cycle]
+
+
+def _annihilated(succ, v):
+    """v, after checking (1 - T) v = 0 on the successor lists: T sends v[j]
+    to every successor of oriented edge j, and v must be its own image."""
+    image = [0] * len(v)
+    for j, k in enumerate(v):
+        if k:
+            for j2 in succ[j]:
+                image[j2] += k
+    if image != v:
+        raise TheoremViolation("kernel vector must be annihilated by 1 - T")
+    return v
+
+
+def _unit_hermite(rows):
+    """rows, after checking that they are a Hermite basis with pivots 1: each
+    row's first nonzero entry is 1, the pivots increase and every other row
+    is 0 at them.  Such rows span a saturated lattice, since a lattice
+    vector's coordinates are its entries at the pivots."""
+    pivots = [next((j for j, k in enumerate(row) if k), -1) for row in rows]
+    if pivots != sorted(set(pivots)) or any(
+        row[p] != 1 or sum(1 for q in pivots if row[q]) != 1 for p, row in zip(pivots, rows)
+    ):
+        raise TheoremViolation("kernel rows must be a Hermite basis with unit pivots")
+    return rows
 
 
 def cycle_lattice(G):
     """Hermite basis of the lifted cycle lattice, the image of ``phi`` on the
-    cycle space; for a connected g >= 2 graph it equals ker(1 - T)."""
+    cycle space; for a connected g >= 2 graph it equals ker(1 - T).  It is
+    the lifted ``cycle_basis``: in its tree the cycle of a non-tree edge e
+    has no tree edge below e, so row e is 1 at e and 0 before e and at the
+    other non-tree edges.  Both are checked, in O(g m + nnz(A))."""
     _require_genus(G, 2, "the kernel identification is proven only for g >= 2")
-    Mt = transpose(one_minus_edge_matrix(G))
-    H, _ = hermite_normal_form([_lift(G, c, Mt) for c in cycle_basis(G)])
-    return [row for row in H if any(row)]
+    succ = successors(G)
+    return _unit_hermite([_annihilated(succ, _lift(c)) for c in cycle_basis(G)])
 
 
 def g1_kernel_generators(G):
-    """Two independent kernel elements for a g = 1 graph: the lifted
-    fundamental cycle, and the cycle as oriented edges plus every non-cycle
-    edge oriented away from the cycle."""
+    """Two kernel elements for a g = 1 graph that span the whole kernel: the
+    lifted fundamental cycle, and the cycle as oriented edges plus every
+    non-cycle edge oriented away from the cycle."""
     g = betti_number(G)
     if g != 1:
         raise DomainError("g = 1 required")
     c = cycle_basis(G)[0]
     m = len(G.edges)
-    oriented = [0] * (2 * m)
-    for i, k in enumerate(c):
-        if k == 1:
-            oriented[i] = 1
-        elif k == -1:
-            oriented[m + i] = 1
-        elif k:
-            raise TheoremViolation("fundamental cycle with non-unit coefficient")
-    Mt = transpose(one_minus_edge_matrix(G))
-    lifted = _lift(G, c, Mt)
+    if any(k not in (-1, 0, 1) for k in c):
+        raise TheoremViolation("fundamental cycle with non-unit coefficient")
+    oriented = [int(k == 1) for k in c] + [int(k == -1) for k in c]
+    succ = successors(G)
+    lifted = _annihilated(succ, _lift(c))
 
-    cycle_vertices = set()
-    for i, (u, v) in enumerate(G.edges):
-        if c[i]:
-            cycle_vertices.update((u, v))
-    dist = [None] * G.vertex_count
-    queue = deque()
-    for v in cycle_vertices:
-        dist[v] = 0
-        queue.append(v)
+    # distance from the cycle, by a breadth-first walk of the incidence lists
+    cycle_vertices = {x for i, ends in enumerate(G.edges) if c[i] for x in ends}
+    dist = [0 if x in cycle_vertices else None for x in range(G.vertex_count)]
+    queue = deque(cycle_vertices)
+    inc = _incidence(G)
     while queue:
         u = queue.popleft()
-        for i, (a, b) in enumerate(G.edges):
-            for x, y in ((a, b), (b, a)):
-                if x == u and dist[y] is None:
-                    dist[y] = dist[u] + 1
-                    queue.append(y)
+        for _, w in inc[u]:
+            if dist[w] is None:
+                dist[w] = dist[u] + 1
+                queue.append(w)
 
     second = list(oriented)
     for i, (a, b) in enumerate(G.edges):
@@ -172,11 +182,9 @@ def g1_kernel_generators(G):
         else:
             second[m + i] += 1
 
-    if any(mat_vec(Mt, second)):
-        raise TheoremViolation("outward-oriented generator must be annihilated by 1 - T")
-    H, _ = hermite_normal_form([lifted, second])
-    if sum(1 for row in H if any(row)) != 2:
-        raise TheoremViolation("the two kernel generators must be independent")
+    _annihilated(succ, second)
+    # pivots 1 make the two independent and saturated, and the kernel has rank 2
+    _unit_hermite(hermite_normal_form([lifted, second])[0])
     return lifted, second
 
 
@@ -286,18 +294,13 @@ def contraction_reduce(G, rng=None):
         swap = {loops[0]: loops[g - 1], loops[g - 1]: loops[0]}
         col_order = [swap.get(r, r) for r in row_order]
 
-    current = list(range(two_m))
-    for p, want in enumerate(row_order):
-        q = current.index(want)
-        if q != p:
-            record("row_swap", p, q)
-            current[p], current[q] = current[q], current[p]
-    current = list(range(two_m))
-    for p, want in enumerate(col_order):
-        q = current.index(want)
-        if q != p:
-            record("col_swap", p, q)
-            current[p], current[q] = current[q], current[p]
+    for kind, order in (("row_swap", row_order), ("col_swap", col_order)):
+        current = list(range(two_m))
+        for p, want in enumerate(order):
+            q = current.index(want)
+            if q != p:
+                record(kind, p, q)
+                current[p], current[q] = current[q], current[p]
 
     M = apply_operations(one_minus_edge_matrix(G), ops)
     diag = [M[i][i] for i in range(two_m)]
@@ -442,7 +445,7 @@ def ktheory_report(G):
     g = _require_genus(G, 1)
     M, snf = _decompose(G)
     group = snf.cokernel
-    basis = snf.left_kernel
+    basis = cycle_lattice(G) if g >= 2 else hermite_normal_form(g1_kernel_generators(G))[0]
     rank = len(basis)
     expected_group, expected_rank, _ = expected_invariants(G)
     if group != expected_group:

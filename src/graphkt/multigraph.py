@@ -74,12 +74,9 @@ def _incidence(G):
     return inc
 
 
-def edges_connect(n, edges):
-    """Whether the edges join all n vertices, by union-find.  A connected
-    graph has at least n - 1 edges, so fewer are refused before any
-    allocation."""
-    if n == 0 or n > len(edges) + 1:
-        return False
+def _forest(n, edges, order):
+    """Indices, taken in the given order, of the edges that join two
+    components so far: a spanning forest, by union-find."""
     root = list(range(n))
 
     def find(x):
@@ -88,12 +85,23 @@ def edges_connect(n, edges):
             x = root[x]
         return x
 
-    for u, v in edges:
+    tree = []
+    for i in order:
+        u, v = edges[i]
         u, v = find(u), find(v)
         if u != v:
             root[u] = v
-            n -= 1
-    return n == 1
+            tree.append(i)
+    return tree
+
+
+def edges_connect(n, edges):
+    """Whether the edges join all n vertices, by union-find.  A connected
+    graph has at least n - 1 edges, so fewer are refused before any
+    allocation."""
+    if n == 0 or n > len(edges) + 1:
+        return False
+    return len(_forest(n, edges, range(len(edges)))) == n - 1
 
 
 def is_connected(G):
@@ -111,27 +119,28 @@ def betti_number(G):
     return len(G.edges) - G.vertex_count + 1
 
 
-def _bfs_tree(G):
-    # Deterministic spanning tree: vertices in BFS order from vertex 0,
-    # incident edges scanned by increasing edge index.
+def _tree(G):
+    # The spanning tree that Kruskal builds from the highest edge index down,
+    # rooted at vertex 0.  By the cycle property (Kruskal, Proc. AMS 1956)
+    # the fundamental cycle of a non-tree edge e uses only tree edges above e.
+    tree = set(_forest(G.vertex_count, G.edges, range(len(G.edges) - 1, -1, -1)))
     inc = _incidence(G)
     parent = {0: None}  # vertex -> (parent vertex, tree edge index)
-    tree = set()
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
+    stack = [0]
+    while stack:
+        u = stack.pop()
         for i, w in inc[u]:
-            if w not in parent:
+            if i in tree and w not in parent:
                 parent[w] = (u, i)
-                tree.add(i)
-                queue.append(w)
+                stack.append(w)
     return tree, parent
 
 
 def spanning_tree(G):
-    """Edge indices of the smallest-index breadth-first spanning tree."""
+    """Edge indices of the spanning tree that Kruskal builds from the
+    highest edge index down."""
     require_connected(G)
-    return _bfs_tree(G)[0]
+    return _tree(G)[0]
 
 
 def boundary(G, coeffs):
@@ -145,45 +154,29 @@ def boundary(G, coeffs):
     return out
 
 
-def _chain_to_root(G, parent, x):
-    steps = []
-    while parent[x] is not None:
-        p, e = parent[x]
-        steps.append((e, x, p))  # traversed child -> parent
-        x = p
-    return steps
-
-
 def cycle_basis(G):
-    """Fundamental cycles, one per non-tree edge, as length-m coefficient
-    vectors over the stored edge orientations.
-
-    The non-tree edge is traversed in its stored (u, v) direction and
-    carries coefficient +1; the tree path closing the cycle contributes
-    coefficient +1 or -1 per edge depending on traversal direction.  The
-    returned vectors are a basis of the integral cycle space.
+    """Fundamental cycles of ``spanning_tree``, one per non-tree edge in
+    increasing index, as length-m coefficient vectors over the stored edge
+    orientations: the non-tree edge carries +1 in its stored (u, v)
+    direction, and each tree edge on the path closing the cycle +1 or -1 by
+    its direction of traversal.  They are a basis of the integral cycle space.
     """
     require_connected(G)
-    tree, parent = _bfs_tree(G)
+    tree, parent = _tree(G)
     m = len(G.edges)
     basis = []
     for i, (u, v) in enumerate(G.edges):
         if i in tree:
             continue
         coeffs = [0] * m
-        coeffs[i] += 1
-        cv = _chain_to_root(G, parent, v)
-        cu = _chain_to_root(G, parent, u)
-        # drop the shared steps near the root, leaving v->lca and u->lca
-        while cv and cu and cv[-1][0] == cu[-1][0]:
-            cv.pop()
-            cu.pop()
-        for e, child, par in cv:  # traversed child -> parent (v towards lca)
-            a, b = G.edges[e]
-            coeffs[e] += 1 if (a, b) == (child, par) else -1
-        for e, child, par in cu:  # traversed parent -> child (lca towards u)
-            a, b = G.edges[e]
-            coeffs[e] += 1 if (a, b) == (par, child) else -1
+        coeffs[i] = 1
+        # v up to the root, then the root down to u: the steps above their
+        # meeting point cancel
+        for x, sign in ((v, 1), (u, -1)):
+            while parent[x] is not None:
+                p, e = parent[x]
+                coeffs[e] += sign if G.edges[e] == (x, p) else -sign
+                x = p
         basis.append(coeffs)
     return basis
 

@@ -320,8 +320,14 @@ def check_ktheory_groups(ctx):
 def check_cycle_space_lemma(ctx):
     if ctx.g < 2:
         return False
+    # cycle_lattice certifies its rows on the successor lists; the dense
+    # 1 - A^t and the transposed route are its oracles
+    lattice = ktheory.cycle_lattice(ctx.graph)
+    Mt = transpose(ctx.M)
+    for row in lattice:
+        _need(not any(mat_vec(Mt, row)), "cycle image must be annihilated by 1 - T")
     _need(
-        ktheory.cycle_lattice(ctx.graph) == ctx.snf_transpose.right_kernel,
+        lattice == ctx.snf_transpose.right_kernel,
         "lifted cycle lattice must equal the kernel lattice",
     )
     m = len(ctx.graph.edges)

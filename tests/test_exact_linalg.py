@@ -22,6 +22,7 @@ from graphkt.exact_linalg import (
     SmithDecomposition,
     apply_operation,
     apply_operations,
+    apply_row_operations_to_vector,
     charpoly_bound,
     cokernel,
     determinant,
@@ -541,6 +542,62 @@ class TestSmithReaders:
         assert snf.left_kernel == [[1, 1, -1], [0, 3, -2]]
         assert snf.right_kernel == []
         assert snf.cokernel == AbelianGroup(2)
+
+
+@st.composite
+def logged_vectors(draw, max_size=6):
+    """(v, ops): an integer vector and a log of all six operation kinds on
+    lines of its size, no add acting on a line with itself."""
+    n = draw(st.integers(1, max_size))
+    v = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    line = st.integers(0, n - 1)
+    ops = []
+    for _ in range(draw(st.integers(0, 25))):
+        side = draw(st.sampled_from(("row_", "col_")))
+        kind = draw(st.sampled_from(("add", "swap", "neg") if n > 1 else ("neg",)))
+        if kind == "neg":
+            ops.append((side + kind, draw(line)))
+        else:
+            i, j = draw(st.lists(line, min_size=2, max_size=2, unique=True))
+            ops.append((side + kind, i, j) if kind == "swap" else (side + kind, i, j,
+                                                                   draw(st.integers(-3, 3))))
+    return v, ops
+
+
+def check_vector_replays(v, ops):
+    # x v against the column that the row operations make of v; y v against
+    # the one-row matrix replay that the kernel readers use
+    rows_only = [op for op in ops if op[0].startswith("row_")]
+    assert apply_row_operations_to_vector(v, ops) == [
+        row[0] for row in apply_operations([[x] for x in v], rows_only)
+    ]
+    assert linalg_mod._replay_vector(v, ops, "col_") == linalg_mod._replay_transposed(
+        [list(v)], ops, "col_")[0]
+
+
+class TestVectorReplays:
+    @settings(max_examples=100)
+    @given(logged_vectors())
+    def test_match_the_matrix_replays(self, case):
+        check_vector_replays(*case)
+
+    @settings(max_examples=40)
+    @given(connected_multigraphs(5, 8, min_genus=1), st.randoms(use_true_random=False))
+    def test_match_on_smith_logs(self, G, rng):
+        M = one_minus_edge_matrix(G)
+        snf = smith_normal_form(M)
+        v = [rng.randint(-5, 5) for _ in M]
+        check_vector_replays(v, snf.operations)
+        # and against the materialised transforms
+        assert apply_row_operations_to_vector(v, snf.operations) == mat_vec(snf.x, v)
+        assert linalg_mod._replay_vector(v, snf.operations, "col_") == mat_vec(snf.y, v)
+
+    def test_input_is_not_modified(self):
+        v = [1, 2, 3]
+        ops = [("row_add", 0, 1, 2), ("col_swap", 0, 2), ("row_neg", 2)]
+        assert apply_row_operations_to_vector(v, ops) == [5, 2, -3]
+        assert linalg_mod._replay_vector(v, ops, "col_") == [3, 2, 1]
+        assert v == [1, 2, 3]
 
 
 class TestCokernel:

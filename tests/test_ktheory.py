@@ -3,10 +3,12 @@ import subprocess
 import sys
 import textwrap
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import graphkt.multigraph as multigraph_mod
 from graphkt import (
     DomainError,
     Multigraph,
@@ -17,7 +19,9 @@ from graphkt import (
     generate_flower,
     generate_theta,
     ktheory_report,
+    parse_graph,
 )
+from graphkt.cli import main
 from graphkt.edge_operator import (
     edge_matrix,
     is_irreducible,
@@ -32,14 +36,17 @@ from graphkt.exact_linalg import (
     apply_operations,
     apply_row_operations_to_vector,
     cokernel,
+    hermite_normal_form,
     kernel_basis,
     mat_vec,
+    smith_normal_form,
     solve_min_scalar,
     transpose,
 )
 from graphkt.ktheory import (
     ReductionTranscript,
     _require_genus,
+    _unit_hermite,
     boundary_algebra_compatible,
     contraction_reduce,
     cycle_lattice,
@@ -137,6 +144,149 @@ class TestKernelLemma:
     def test_g1_rejected(self):
         with pytest.raises(DomainError, match="g >= 2"):
             phi_image_equals_kernel(generate_flower(1))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _invariants_exit(name, capsys):
+    """(exit code, stderr) of ``invariants`` on a golden graph."""
+    code = main(["invariants", str(GOLDEN / name)])
+    return code, capsys.readouterr().err
+
+
+def _bfs_tree(G):
+    """The breadth-first tree from vertex 0, edges by increasing index, that
+    the cycle basis used before: its cycles can run below their edge."""
+    inc = multigraph_mod._incidence(G)
+    parent, tree, queue = {0: None}, set(), [0]
+    for u in queue:
+        for i, w in inc[u]:
+            if w not in parent:
+                parent[w] = (u, i)
+                tree.add(i)
+                queue.append(w)
+    return tree, parent
+
+
+class TestTreeKernelBasis:
+    """``invariants`` prints the lifted fundamental cycles of one spanning
+    tree for g >= 2 and the Hermite form of the two g = 1 generators; the
+    Smith route's ``left_kernel`` stays the oracle."""
+
+    def test_equals_left_kernel_on_every_class(self):
+        graphs = [G for G in enumerate_connected(5, 7) if betti_number(G) >= 1]
+        assert len(graphs) > 1000
+        for G in graphs:
+            oracle = smith_normal_form(one_minus_edge_matrix(G)).left_kernel
+            assert ktheory_report(G)["k1_basis"] == oracle
+
+    @settings(max_examples=60)
+    @given(connected_multigraphs(max_vertices=6, max_edges=10, min_genus=1))
+    def test_equals_left_kernel(self, G):
+        oracle = smith_normal_form(one_minus_edge_matrix(G)).left_kernel
+        assert ktheory_report(G)["k1_basis"] == oracle
+
+    def test_dropped_successor_exits_3(self, monkeypatch, capsys):
+        import graphkt.edge_operator as edge_mod
+        import graphkt.ktheory as ktheory_mod
+
+        honest = edge_mod.successors
+
+        def dropped(G):
+            succ = honest(G)
+            succ[0].pop()
+            return succ
+
+        with monkeypatch.context() as mp:
+            # only the certificate's lists lie: the Smith route is honest
+            mp.setattr(ktheory_mod, "successors", dropped)
+            for name in ("chain5.graph", "flower1.graph", "flower5.graph", "theta4.graph"):
+                assert _invariants_exit(name, capsys) == (
+                    3, "theorem violation: kernel vector must be annihilated by 1 - T\n")
+        # the operator lies everywhere, dense A included
+        monkeypatch.setattr(edge_mod, "successors", dropped)
+        monkeypatch.setattr(ktheory_mod, "successors", dropped)
+        for name in ("chain5.graph", "flower1.graph", "flower5.graph", "mixed.graph",
+                     "theta4.graph"):
+            assert _invariants_exit(name, capsys)[0] == 3
+
+    def test_breadth_first_tree_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(multigraph_mod, "_tree", _bfs_tree)
+        for name in ("chain5.graph", "mixed.graph", "theta4.graph"):
+            assert _invariants_exit(name, capsys) == (
+                3, "theorem violation: kernel rows must be a Hermite basis with unit pivots\n")
+
+    @pytest.mark.parametrize("name", ["chain5.graph", "mixed.graph", "theta4.graph"])
+    def test_one_flipped_sign_exits_3(self, name, monkeypatch, capsys):
+        import graphkt.ktheory as ktheory_mod
+
+        honest = ktheory_mod.cycle_basis
+        G = parse_graph((GOLDEN / name).read_text())
+        positions = [(r, e) for r, c in enumerate(honest(G)) for e, k in enumerate(c) if k]
+        for r, e in positions:
+
+            def flipped(G, r=r, e=e):
+                basis = honest(G)
+                basis[r][e] = -basis[r][e]
+                return basis
+
+            monkeypatch.setattr(ktheory_mod, "cycle_basis", flipped)
+            code, err = _invariants_exit(name, capsys)
+            assert code == 3 and err.startswith("theorem violation: kernel ")
+
+
+    def test_unreduced_basis_exits_3(self, monkeypatch, capsys):
+        # the first cycle plus the second still spans the same lattice and
+        # is annihilated, but it is not the Hermite form that is printed
+        import graphkt.ktheory as ktheory_mod
+
+        honest = ktheory_mod.cycle_basis
+
+        def unreduced(G):
+            basis = honest(G)
+            basis[0] = [a + b for a, b in zip(basis[0], basis[1])]
+            return basis
+
+        monkeypatch.setattr(ktheory_mod, "cycle_basis", unreduced)
+        for name in ("chain5.graph", "flower5.graph", "theta4.graph"):
+            assert _invariants_exit(name, capsys) == (
+                3, "theorem violation: kernel rows must be a Hermite basis with unit pivots\n")
+
+
+    def test_reversed_basis_exits_3(self, monkeypatch, capsys):
+        import graphkt.ktheory as ktheory_mod
+
+        honest = ktheory_mod.cycle_basis
+        monkeypatch.setattr(ktheory_mod, "cycle_basis", lambda G: honest(G)[::-1])
+        for name in ("chain5.graph", "flower5.graph", "theta4.graph"):
+            assert _invariants_exit(name, capsys) == (
+                3, "theorem violation: kernel rows must be a Hermite basis with unit pivots\n")
+
+    def test_g1_basis_from_an_unsaturated_hermite_form_exits_3(self, monkeypatch, capsys):
+        # a Hermite routine that doubles its second row still gives two
+        # independent kernel rows, but they no longer span the kernel
+        import graphkt.ktheory as ktheory_mod
+
+        def doubling(M):
+            H, U = hermite_normal_form(M)
+            return [H[0]] + [[2 * x for x in row] for row in H[1:]], U
+
+        monkeypatch.setattr(ktheory_mod, "hermite_normal_form", doubling)
+        assert _invariants_exit("flower1.graph", capsys) == (
+            3, "theorem violation: kernel rows must be a Hermite basis with unit pivots\n")
+
+    @pytest.mark.parametrize("rows", [
+        [[2, 0], [0, 1]],  # pivot 2: the lattice is not saturated
+        [[0, 1], [1, 0]],  # pivots decrease
+        [[1, 1], [0, 1]],  # nonzero at the other row's pivot
+        [[1, 0], [0, 0]],  # a zero row
+        [[1, 0], [1, 0]],  # a repeated pivot
+    ])
+    def test_unit_hermite_refuses(self, rows):
+        with pytest.raises(TheoremViolation, match="Hermite basis with unit pivots"):
+            _unit_hermite(rows)
+        assert _unit_hermite([[1, 0, 2], [0, 1, -3]]) == [[1, 0, 2], [0, 1, -3]]
 
 
 class TestG1Generators:

@@ -26,6 +26,7 @@ from graphkt.multigraph import (
     spanning_tree,
     valences,
 )
+from graphkt.sweep import enumerate_connected
 
 from .strategies import connected_multigraphs
 
@@ -135,8 +136,9 @@ class TestSpanningTree:
     def test_flower_empty(self):
         assert spanning_tree(generate_flower(2)) == set()
 
-    def test_theta_first_edge(self):
-        assert spanning_tree(generate_theta(2)) == {0}
+    def test_theta_last_edge(self):
+        # Kruskal from the highest edge index down takes the last parallel edge
+        assert spanning_tree(generate_theta(2)) == {2}
 
     def test_path(self):
         assert spanning_tree(Multigraph(3, ((0, 1), (1, 2)))) == {0, 1}
@@ -167,6 +169,20 @@ class TestCycleBasis:
         nontree = [i for i in range(3) if i not in tree]
         for c, i in zip(basis, nontree):
             assert c[i] == 1
+
+    def test_cycle_property(self):
+        # the tree is the one Kruskal builds from the highest edge index
+        # down, so a non-tree edge's fundamental cycle uses only tree edges
+        # above it, and the lifted cycles are a Hermite basis as they stand
+        for G in enumerate_connected(5, 6):
+            tree = spanning_tree(G)
+            nontree = [i for i in range(len(G.edges)) if i not in tree]
+            basis = cycle_basis(G)
+            assert len(basis) == len(nontree)
+            for e, c in zip(nontree, basis):
+                assert c[e] == 1
+                assert all(i > e for i, k in enumerate(c) if k and i != e)
+                assert all(c[f] == 0 for f in nontree if f != e)
 
     @settings(max_examples=60)
     @given(connected_multigraphs())
