@@ -16,10 +16,10 @@ A Smith reduction keeps only its diagonal form and this log, which is the
 one record of the transform and its certificate: a log of elementary
 operations is a product of determinant +-1 matrices, so checking each
 operation and that the log replays m to d checks x * m * y = d.  Readers
-never build x or y: they replay the log on only the vectors they need
-(kernel rows of x and kernel columns of y through ``apply_operation``;
-x b and y z entry by entry on plain lists, which tests compare with the
-matrix replays).
+never build x or y: one loop, ``_replay_vector``, replays the log entry by
+entry on only the plain vectors they need (rows of x and columns of y at
+the kernel positions, x b and y z), and tests compare its four products
+x v, v x, y v and v y with the materialised transforms.
 
 ``reversed_charpoly`` gives det(1 - uM) from Hessenberg reductions modulo
 primes, as many as the Hadamard bound ``charpoly_bound`` needs: one
@@ -57,7 +57,6 @@ __all__ = [
     "poly_mul",
     "poly_pow",
     "poly_eval",
-    "poly_divexact",
     "poly_matrix_det",
     "reversed_charpoly",
 ]
@@ -169,19 +168,20 @@ def apply_row_operations_to_vector(v, ops):
     return _replay_vector(v, ops, "row_")
 
 
-def _replay_vector(v, ops, side):
-    """The operations on one side replayed entry by entry on a copy of the
-    plain vector v: the row operations in order (x v), or the column
-    operations transposed and in reverse (y v, which equals
-    ``_replay_transposed([v], ops, "col_")[0]``)."""
+def _replay_vector(v, ops, side, transposed=False):
+    """The operations on one side, "row_" (x) or "col_" (y), replayed entry
+    by entry on a copy of the plain vector v: x v or y v, or v x or v y when
+    transposed.  x v and v y take the operations in order; v x and y v take
+    them in reverse, each add turned (its elementary matrix transposed), as
+    swaps and negations are their own transposes."""
     v = list(v)
-    transposed = side == "col_"
+    backwards = transposed != (side == "col_")
     add, swap, neg = side + "add", side + "swap", side + "neg"
-    for op in reversed(ops) if transposed else ops:
+    for op in reversed(ops) if backwards else ops:
         kind = op[0]
         if kind == add:
             _, d, s, k = op
-            if transposed:
+            if backwards:
                 d, s = s, d
             v[d] += k * v[s]
         elif kind == swap:
@@ -190,28 +190,6 @@ def _replay_vector(v, ops, side):
         elif kind == neg:
             v[op[1]] = -v[op[1]]
     return v
-
-
-def _transposed(op):
-    """The column operation that multiplies a block from the right by the
-    elementary matrix E of a row operation op, or by E^t when op is a
-    column operation: a row v of the block becomes v E, or (E v^t)^t."""
-    kind = op[0]
-    if kind.endswith("_add"):
-        _, d, s, k = op
-        return ("col_add", s, d, k)
-    return ("col_" + kind[4:],) + op[1:]
-
-
-def _replay_transposed(block, ops, side):
-    """Replay the operations on one side, transposed and in reverse, on the
-    rows of block in place; return block.  With the unit rows e_i it gives
-    rows i of x (side "row_") or columns i of y (side "col_"); with one row
-    v it gives v x or (y v^t)^t."""
-    for op in reversed(ops):
-        if op[0].startswith(side):
-            apply_operation(block, _transposed(op))
-    return block
 
 
 def _unit_rows(positions, size):
@@ -278,16 +256,16 @@ class SmithDecomposition:
         the free positions span it (rows of a unimodular x are independent).
         Only those rows are replayed; x itself is never built."""
         rows = len(self.d)
-        block = _unit_rows(self._free(rows), rows)
-        return hermite_normal_form(_replay_transposed(block, self.operations, "row_"))[0]
+        return hermite_normal_form([_replay_vector(e, self.operations, "row_", transposed=True)
+                                    for e in _unit_rows(self._free(rows), rows)])[0]
 
     @cached_property
     def right_kernel(self):
         """Hermite basis of {v : m v = 0}: m y = x^-1 d, so the columns of y
         at the free positions span it.  Only those columns are replayed."""
         cols = len(self.d[0]) if self.d else 0
-        block = _unit_rows(self._free(cols), cols)
-        return hermite_normal_form(_replay_transposed(block, self.operations, "col_"))[0]
+        return hermite_normal_form([_replay_vector(e, self.operations, "col_")
+                                    for e in _unit_rows(self._free(cols), cols)])[0]
 
 
 def smith_normal_form(M):
@@ -575,27 +553,6 @@ def poly_eval(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_divexact(p, q):
-    """Exact polynomial division; raises if the remainder is nonzero."""
-    if not q:
-        raise ZeroDivisionError("division by the zero polynomial")
-    rem = list(p)
-    out = [0] * max(len(p) - len(q) + 1, 0)
-    lead = q[-1]
-    for k in range(len(out) - 1, -1, -1):
-        coef = rem[k + len(q) - 1]
-        if coef % lead:
-            raise ValueError("inexact polynomial division")
-        coef //= lead
-        out[k] = coef
-        if coef:
-            for j, c in enumerate(q):
-                rem[k + j] -= coef * c
-    if any(rem):
-        raise ValueError("inexact polynomial division")
-    return poly_trim(out)
 
 
 def poly_matrix_det(P):

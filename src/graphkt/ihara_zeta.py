@@ -13,11 +13,11 @@ of data, so any disagreement raises TheoremViolation.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .edge_operator import edge_matrix
 from .errors import DomainError, TheoremViolation
 from .exact_linalg import (
-    poly_divexact,
-    poly_eval,
     poly_matrix_det,
     poly_mul,
     poly_pow,
@@ -75,12 +75,14 @@ def ihara_rhs(G):
 
 
 def vanishing_order_at_one(p):
-    """Largest k with (1 - u)^k dividing p, by repeated exact division."""
-    if not p:
+    """Largest k with (1 - u)^k dividing p.  p vanishes at 1 when its
+    coefficients sum to 0, and then p = (1 - u) q where q's coefficients are
+    the prefix sums of p's, the last of which is that zero sum."""
+    if not any(p):
         raise DomainError("the zero polynomial has no vanishing order")
     order = 0
-    while poly_eval(p, 1) == 0:
-        p = poly_divexact(p, [1, -1])
+    while not sum(p):
+        p = list(accumulate(p))[:-1]
         order += 1
     return order
 

@@ -36,12 +36,11 @@ from .exact_linalg import (
     solve_min_scalar,
     transpose,
 )
-from .multigraph import _incidence, betti_number, boundary, contract_edge, cycle_basis, valences
+from .multigraph import _incidence, betti_number, cycle_basis, valences
 
 __all__ = [
     "k0",
     "k1",
-    "phi",
     "cycle_lattice",
     "g1_kernel_generators",
     "ReductionTranscript",
@@ -93,17 +92,9 @@ def k1(G):
     return len(basis), basis
 
 
-def phi(G, cycle):
-    """Lift a cycle vector into the kernel of 1 - T: coefficient k on
-    geometric edge i becomes +k on oriented index i and -k on its reversal."""
-    if len(cycle) != len(G.edges):
-        raise DomainError("cycle vector length must equal the edge count")
-    if any(boundary(G, cycle)):
-        raise DomainError("not a cycle: boundary image is nonzero")
-    return _annihilated(successors(G), _lift(cycle))
-
-
 def _lift(cycle):
+    """The lift of a cycle into the kernel of 1 - T: coefficient k on
+    geometric edge i becomes +k on oriented index i and -k on its reversal."""
     return list(cycle) + [-k for k in cycle]
 
 
@@ -134,8 +125,8 @@ def _unit_hermite(rows):
 
 
 def cycle_lattice(G):
-    """Hermite basis of the lifted cycle lattice, the image of ``phi`` on the
-    cycle space; for a connected g >= 2 graph it equals ker(1 - T).  It is
+    """Hermite basis of the lifted cycle lattice, the image of ``_lift`` on
+    the cycle space; for a connected g >= 2 graph it equals ker(1 - T).  It is
     the lifted ``cycle_basis``: in its tree the cycle of a non-tree edge e
     has no tree edge below e, so row e is 1 at e and 0 before e and at the
     other non-tree edges.  Both are checked, in O(g m + nnz(A))."""
@@ -223,8 +214,10 @@ def contraction_reduce(G, rng=None):
 
     The active block is 1 - A of H in every round (the state lemma), so the
     rounds read their operations off H alone: row gamma holds -1 at each
-    edge leaving v but gamma-bar.  One replay of the finished log on 1 - A
-    and on the all-ones vector certifies it.
+    edge leaving v but gamma-bar.  H is never built: it is the map of the
+    original vertices to its vertices and the list of its surviving edges.
+    One replay of the finished log on 1 - A and on the all-ones vector
+    certifies it.
     """
     n_orig = G.vertex_count
     g = _require_genus(G, 1)
@@ -235,42 +228,39 @@ def contraction_reduce(G, rng=None):
     def record(*op):
         ops.append(op)
 
-    H = G
-    orig = list(range(m))  # H edge index -> original edge index
+    ends = oriented_edges(G)
+    at = list(range(n_orig))  # original vertex -> its vertex of H
+    alive = list(range(m))  # the edges of H, in increasing index
     frozen = []
     contraction_order = []
 
     while True:
-        nonloops = [j for j, (u, v) in enumerate(H.edges) if u != v]
+        nonloops = [e for e in alive if at[ends[e][0]] != at[ends[e][1]]]
         if not nonloops:
             break
-        j = nonloops[0] if rng is None else rng.choice(nonloops)
-        m_h = len(H.edges)
-        ends = oriented_edges(H)
-
-        def to_orig(k):
-            return orig[k] if k < m_h else orig[k - m_h] + m
-
-        gamma, gamma_bar = to_orig(j), to_orig(j + m_h)
-        u, v = H.edges[j]
-        for k, (_, t) in enumerate(ends):
-            if k == j or k == j + m_h:
-                continue
+        gamma = nonloops[0] if rng is None else rng.choice(nonloops)
+        gamma_bar = gamma + m
+        u, v = at[ends[gamma][0]], at[ends[gamma][1]]
+        alive.remove(gamma)
+        # H's other oriented edges in its index order: contract_edge keeps
+        # the surviving edges in relative order
+        rest = alive + [k + m for k in alive]
+        for k in rest:
+            t = at[ends[k][1]]
             if t == u:
-                record("row_add", to_orig(k), gamma, 1)
+                record("row_add", k, gamma, 1)
             elif t == v:
-                record("row_add", to_orig(k), gamma_bar, 1)
-        for source, head, back in ((gamma, v, j + m_h), (gamma_bar, u, j)):
-            leaving = [to_orig(k) for k, (o, _) in enumerate(ends) if o == head and k != back]
-            for f in sorted(leaving):
-                record("col_add", f, source, 1)
+                record("row_add", k, gamma_bar, 1)
+        for source, head in ((gamma, v), (gamma_bar, u)):
+            for f in rest:
+                if at[ends[f][0]] == head:
+                    record("col_add", f, source, 1)
         frozen.extend((gamma, gamma_bar))
         contraction_order.append(gamma)
-        H = contract_edge(H, j)
-        orig.pop(j)
+        at = [u if w == v else w for w in at]
 
     # single-vertex block: surviving loops, both orientations
-    loops = orig
+    loops = alive
     loops_bar = [x + m for x in loops]
     for i in range(g):
         record("row_add", loops_bar[i], loops[i], -1)

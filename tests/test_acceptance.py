@@ -30,7 +30,7 @@ from graphkt.exact_linalg import (
     solve_min_scalar,
 )
 from graphkt.ihara_zeta import edge_charpoly, ihara_rhs, vanishing_order_at_one
-from graphkt.ktheory import contraction_reduce, k0, k1, phi, unit_order
+from graphkt.ktheory import contraction_reduce, k0, k1, unit_order
 from graphkt.multigraph import (
     betti_number,
     classify_end_edges,
@@ -127,7 +127,8 @@ def test_criterion_03_cycle_space_lemma(records):
     for r in records:
         if r.g < 2:
             continue
-        rows = [phi(r.graph, c) for c in cycle_basis(r.graph)]
+        # each cycle c lifts to (c, -c) on the oriented edges
+        rows = [c + [-k for k in c] for c in cycle_basis(r.graph)]
         H, _ = hermite_normal_form(rows)
         assert [row for row in H if any(row)] == r.kernel
         m = len(r.graph.edges)

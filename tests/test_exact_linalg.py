@@ -31,7 +31,6 @@ from graphkt.exact_linalg import (
     kernel_basis,
     mat_vec,
     operations_to_text,
-    poly_divexact,
     poly_eval,
     poly_matrix_det,
     poly_mul,
@@ -102,6 +101,16 @@ def cofactor_poly_det(P):
     return total
 
 
+def divide_by_root(p, a):
+    """p / (u - a) by synthetic division; a must be a root of p."""
+    out, acc = [], 0
+    for c in reversed(p[1:]):
+        acc = acc * a + c
+        out.append(acc)
+    assert acc * a + p[0] == 0
+    return out[::-1]
+
+
 def lagrange_poly_matrix_det(P):
     """The earlier poly_matrix_det: integer points 0, 1, -1, 2, -2, ... and
     Lagrange interpolation in Fractions."""
@@ -130,7 +139,7 @@ def lagrange_poly_matrix_det(P):
     for u, v in zip(points, values):
         if not v:
             continue
-        basis = poly_divexact(master, [-u, 1])
+        basis = divide_by_root(master, u)
         scale = Fraction(v, poly_eval(basis, u))
         for i, c in enumerate(basis):
             if c:
@@ -565,14 +574,14 @@ def logged_vectors(draw, max_size=6):
 
 
 def check_vector_replays(v, ops):
-    # x v against the column that the row operations make of v; y v against
-    # the one-row matrix replay that the kernel readers use
-    rows_only = [op for op in ops if op[0].startswith("row_")]
-    assert apply_row_operations_to_vector(v, ops) == [
-        row[0] for row in apply_operations([[x] for x in v], rows_only)
-    ]
-    assert linalg_mod._replay_vector(v, ops, "col_") == linalg_mod._replay_transposed(
-        [list(v)], ops, "col_")[0]
+    # x v, v x, y v and v y against x and y materialised by apply_operations
+    n = len(v)
+    x, y = (apply_operations(identity_matrix(n), [op for op in ops if op[0].startswith(side)])
+            for side in ("row_", "col_"))
+    assert apply_row_operations_to_vector(v, ops) == mat_vec(x, v)
+    assert linalg_mod._replay_vector(v, ops, "row_", True) == mat_vec(transpose(x), v)
+    assert linalg_mod._replay_vector(v, ops, "col_") == mat_vec(y, v)
+    assert linalg_mod._replay_vector(v, ops, "col_", True) == mat_vec(transpose(y), v)
 
 
 class TestVectorReplays:
@@ -720,11 +729,6 @@ class TestPolynomials:
     def test_arithmetic(self):
         assert poly_mul([1, 1], [1, -1]) == [1, 0, -1]
         assert poly_eval([1, -4, 2, 4, -3], 2) == 1 - 8 + 8 + 32 - 48
-
-    def test_divexact(self):
-        assert poly_divexact([1, 0, -1], [1, 1]) == [1, -1]
-        with pytest.raises(ValueError):
-            poly_divexact([1, 0, 1], [1, 1])
 
     def test_poly_matrix_det_linear(self):
         assert poly_matrix_det([[[1, -1]]]) == [1, -1]

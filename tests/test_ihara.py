@@ -182,8 +182,9 @@ class TestVanishingOrder:
         assert vanishing_order_at_one(poly_mul([1, 0, 0, -1], [1, 0, 0, -1])) == 2
 
     def test_zero_poly_rejected(self):
-        with pytest.raises(DomainError):
-            vanishing_order_at_one([])
+        for zero in ([], [0, 0]):
+            with pytest.raises(DomainError):
+                vanishing_order_at_one(zero)
 
 
 def test_zeta_report_json():

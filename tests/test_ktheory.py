@@ -54,7 +54,6 @@ from graphkt.ktheory import (
     g1_kernel_generators,
     k0,
     k1,
-    phi,
     simplicity_flags,
     unit_order,
 )
@@ -100,25 +99,14 @@ class TestK1:
 
 
 class TestPhi:
-    def test_flower1_loop(self):
-        assert phi(generate_flower(1), [1]) == [1, -1]
-
-    def test_zero_cycle(self):
-        assert phi(generate_theta(2), [0, 0, 0]) == [0] * 6
-
-    def test_theta2(self):
-        assert phi(generate_theta(2), [1, -1, 0]) == [1, -1, 0, -1, 1, 0]
-
-    def test_non_cycle_rejected(self):
-        with pytest.raises(DomainError, match="not a cycle"):
-            phi(generate_theta(2), [1, 0, 0])
+    # the paper's lift phi of a cycle c is (c, -c) on the oriented edges
 
     @settings(max_examples=40)
     @given(connected_multigraphs(min_genus=1))
     def test_image_annihilated(self, G):
         Mt = transpose(one_minus_edge_matrix(G))
         for c in cycle_basis(G):
-            assert not any(mat_vec(Mt, phi(G, c)))
+            assert not any(mat_vec(Mt, c + [-k for k in c]))
 
 
 def phi_image_equals_kernel(G):
@@ -546,10 +534,12 @@ def _random_connected_graph(two_m, seed):
             return G
 
 
-def _reversing_contract_edge(G, e):
-    # a lying contraction: the right graph, its surviving edges listed backwards
-    H = contract_edge(G, e)
-    return Multigraph(H.vertex_count, H.edges[::-1])
+def _lying_oriented_edges(G):
+    # edge 0's two orientations with their ends swapped
+    ends = oriented_edges(G)
+    m = len(G.edges)
+    ends[0], ends[m] = ends[m], ends[0]
+    return ends
 
 
 class TestTranscriptFromTheGraph:
@@ -576,17 +566,38 @@ class TestTranscriptFromTheGraph:
     def test_lying_contraction_raises(self, g, monkeypatch):
         import graphkt.ktheory as ktheory_mod
 
-        monkeypatch.setattr(ktheory_mod, "contract_edge", _reversing_contract_edge)
+        monkeypatch.setattr(ktheory_mod, "oriented_edges", _lying_oriented_edges)
         with pytest.raises(TheoremViolation, match="must end diagonal"):
-            contraction_reduce(generate_chain(g))
+            contraction_reduce(generate_theta(g))
 
     def test_lying_contraction_recorded_by_sweep(self, monkeypatch):
         import graphkt.ktheory as ktheory_mod
 
-        monkeypatch.setattr(ktheory_mod, "contract_edge", _reversing_contract_edge)
+        monkeypatch.setattr(ktheory_mod, "oriented_edges", _lying_oriented_edges)
         report = run_sweep(SweepConfig(max_vertices=3, max_edges=4))
         assert not report["ok"]
-        assert "reduction_transcript" in {f["check"] for f in report["failures"]}
+        failed = {f["check"] for f in report["failures"]}
+        assert {"reduction_transcript", "contraction_claim"} <= failed
+
+    def test_doubled_matrix_raises(self, monkeypatch):
+        import graphkt.ktheory as ktheory_mod
+
+        def doubled(G):
+            return [[2 * x for x in row] for row in one_minus_edge_matrix(G)]
+
+        monkeypatch.setattr(ktheory_mod, "one_minus_edge_matrix", doubled)
+        with pytest.raises(TheoremViolation, match="units, g - 1, then g zeros"):
+            contraction_reduce(generate_theta(3))
+
+    def test_doubled_ones_image_raises(self, monkeypatch):
+        import graphkt.ktheory as ktheory_mod
+
+        def doubled(v, ops):
+            return [2 * x for x in apply_row_operations_to_vector(v, ops)]
+
+        monkeypatch.setattr(ktheory_mod, "apply_row_operations_to_vector", doubled)
+        with pytest.raises(TheoremViolation, match=r"g \* \|V\| and g zeros"):
+            contraction_reduce(generate_theta(3))
 
     def test_one_build_of_one_minus_a_whatever_the_rounds(self, monkeypatch):
         import graphkt.edge_operator as edge_mod
