@@ -63,9 +63,23 @@ def _flatten(payload, prefix=""):
             yield name, value
 
 
+def _json(v, indent="\n"):
+    """``json.dumps(v, indent=2, sort_keys=True)`` for string keys, without its
+    pure-Python encoder: ints by ``str``, other leaves by ``json.dumps``."""
+    if type(v) is int:
+        return str(v)
+    if not v or not isinstance(v, (dict, list, tuple)):
+        return json.dumps(v)
+    inner = indent + "  "
+    if isinstance(v, dict):
+        items = [f"{json.dumps(k)}: {_json(v[k], inner)}" for k in sorted(v)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return "[" + inner + ("," + inner).join([_json(x, inner) for x in v]) + indent + "]"
+
+
 def _emit(payload, fmt):
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
         for name, value in _flatten(payload):
             print(f"{name}: {value}")

@@ -281,14 +281,14 @@ def smith_normal_form(M):
     entries it can change: a row clear to the nonzero entries of the pivot
     row, a column clear to its one entry in the pivot row.  Every other
     operation goes through ``apply_operation``, and replaying the log
-    through it gives the same diagonal form.
+    through it gives the same diagonal form.  M must hold Python ints.
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
     for row in M:
         if len(row) != cols:
             raise ValueError("matrix rows must have equal length")
-    D = [list(map(int, row)) for row in M]
+    D = [list(row) for row in M]
     ops = []
 
     def record(*op):
@@ -478,6 +478,18 @@ def cokernel(M):
     return smith_normal_form(M).cokernel
 
 
+def _min_scalar(diag, c):
+    """Least lam > 0 with D z = lam c solvable over Z, D the square diagonal
+    matrix of diag, or None when no lam is."""
+    lam = 1
+    for d, v in zip(diag, c):
+        if d:
+            lam = lcm(lam, d // gcd(d, v))
+        elif v:
+            return None
+    return lam
+
+
 def solve_min_scalar(M, b, snf=None):
     """Smallest positive lam such that M x = lam * b is solvable over Z.
 
@@ -499,19 +511,10 @@ def solve_min_scalar(M, b, snf=None):
     # by entry, so the transforms x and y are never built.
     diag = snf.diagonal
     c = apply_row_operations_to_vector(b, snf.operations)
-    lam = 1
-    for i in range(n):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i]:
-                return None
-        else:
-            lam = lcm(lam, d // gcd(d, c[i]))
-    z = [0] * n
-    for i in range(n):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            z[i] = lam * c[i] // d
+    lam = _min_scalar(diag, c)
+    if lam is None:
+        return None
+    z = [lam * v // d if d else 0 for d, v in zip(diag, c)]
     x = _replay_vector(z, snf.operations, "col_")
     if mat_vec(M, x) != [lam * v for v in b]:
         raise TheoremViolation("solver witness x must satisfy M x = lam * b")

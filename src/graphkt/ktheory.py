@@ -5,9 +5,9 @@ arithmetic: the cokernel of 1 - A^t gives the degree-zero group, the kernel
 of the operator (the right kernel of 1 - A^t, since the operator acts on
 column vectors as the transpose of A) gives the degree-one group.  The
 order of the unit class is the least positive lam with lam * (1, ..., 1) in
-the image of 1 - A.  One Smith form X (1 - A) Y = D per graph, kept as D and
-its operation log, gives the degree-zero group (``cokernel``) and the unit
-solve, through X b and Y z replayed from the log; X and Y are never built.
+the image of 1 - A.  ``classify`` reads both off the contraction transcript
+X (1 - A) Y = D: coker D and the least lam with D z = lam X 1 solvable.  The
+report reads them and the witness Y z off one Smith form's D and log alone.
 The kernel needs no reduction: for g >= 2 it is the lifted cycle lattice,
 and the lifted fundamental cycles of one spanning tree are its Hermite
 basis (``cycle_lattice``); for g = 1 two explicit generators span it.  Each
@@ -28,6 +28,7 @@ from .edge_operator import one_minus_edge_matrix, oriented_edges, successors
 from .errors import DomainError, TheoremViolation
 from .exact_linalg import (
     AbelianGroup,
+    _min_scalar,
     apply_operations,
     apply_row_operations_to_vector,
     cokernel,
@@ -45,7 +46,6 @@ __all__ = [
     "g1_kernel_generators",
     "ReductionTranscript",
     "contraction_reduce",
-    "unit_order",
     "expected_invariants",
     "simplicity_flags",
     "classify_stable",
@@ -75,10 +75,23 @@ def _decompose(G):
     return M, snf
 
 
+def _k0_and_unit_order(G):
+    """(K0, unit order) off the contraction transcript of M = 1 - A, checked
+    against the Smith form of 1 - A^t and against the closed form."""
+    M = one_minus_edge_matrix(G)
+    t = contraction_reduce(G, M=M)
+    group = AbelianGroup.from_diagonal(t.final_diagonal, t.size)
+    if group != cokernel(transpose(M)):
+        raise TheoremViolation("cokernel must not depend on the transpose convention")
+    found, expected = _min_scalar(t.final_diagonal, t.ones_image), expected_invariants(G)[2]
+    if found != expected:
+        raise TheoremViolation(f"unit order solver found {found}, closed form gives {expected}")
+    return group, found
+
+
 def k0(G):
     """Cokernel of 1 - A^t on Z^(2m), cross-computed from 1 - A."""
-    _require_genus(G, 1)
-    return _decompose(G)[1].cokernel
+    return _k0_and_unit_order(G)[0]
 
 
 def k1(G):
@@ -139,6 +152,11 @@ def g1_kernel_generators(G):
     """Two kernel elements for a g = 1 graph that span the whole kernel: the
     lifted fundamental cycle, and the cycle as oriented edges plus every
     non-cycle edge oriented away from the cycle."""
+    return _g1_kernel(G)[0]
+
+
+def _g1_kernel(G):
+    """(generators, their checked Hermite basis) for ``g1_kernel_generators``."""
     g = betti_number(G)
     if g != 1:
         raise DomainError("g = 1 required")
@@ -175,8 +193,7 @@ def g1_kernel_generators(G):
 
     _annihilated(succ, second)
     # pivots 1 make the two independent and saturated, and the kernel has rank 2
-    _unit_hermite(hermite_normal_form([lifted, second])[0])
-    return lifted, second
+    return (lifted, second), _unit_hermite(hermite_normal_form([lifted, second])[0])
 
 
 @dataclass(frozen=True)
@@ -198,16 +215,16 @@ class ReductionTranscript:
     contraction_order: tuple
 
 
-def contraction_reduce(G, rng=None):
-    """Diagonalize 1 - A by the contraction schedule, recording every
-    elementary operation; replay the log once at the end to certify it.
+def contraction_reduce(G, rng=None, M=None):
+    """Diagonalize M = 1 - A (built if not given) by the contraction schedule,
+    recording every elementary operation; replay it once on a copy to certify.
 
-    Each round picks a non-loop edge gamma = (u, v) of the contracted graph
-    H (lowest index, or drawn from ``rng``), adds its two oriented rows to
-    the rows of the edges flowing into their respective origins (clearing
-    the two columns), clears the two rows with column additions, and
-    continues on the contracted graph; only loops on a single vertex then
-    remain and that block is reduced directly.  A final permutation sorts
+    Each round picks a non-loop edge gamma = (u, v) of the contracted graph H
+    (of least valence sum, loops counting 2, then lowest index; or drawn from
+    ``rng``), adds its two oriented rows to the rows of the edges flowing into
+    their respective origins (clearing the two columns), clears the two rows
+    with column additions, and continues on the contracted graph; only loops
+    on a single vertex then remain and that block is reduced directly.  A final permutation sorts
     the diagonal: units first, then the single entry of magnitude g - 1,
     then the g zero rows.  The resulting diagonal is independent of the
     contraction order.
@@ -230,6 +247,7 @@ def contraction_reduce(G, rng=None):
 
     ends = oriented_edges(G)
     at = list(range(n_orig))  # original vertex -> its vertex of H
+    val = valences(G)  # valence in H, at the vertices of H
     alive = list(range(m))  # the edges of H, in increasing index
     frozen = []
     contraction_order = []
@@ -238,9 +256,11 @@ def contraction_reduce(G, rng=None):
         nonloops = [e for e in alive if at[ends[e][0]] != at[ends[e][1]]]
         if not nonloops:
             break
-        gamma = nonloops[0] if rng is None else rng.choice(nonloops)
+        gamma = rng.choice(nonloops) if rng is not None else min(
+            nonloops, key=lambda e: val[at[ends[e][0]]] + val[at[ends[e][1]]])
         gamma_bar = gamma + m
         u, v = at[ends[gamma][0]], at[ends[gamma][1]]
+        val[u] += val[v] - 2
         alive.remove(gamma)
         # H's other oriented edges in its index order: contract_edge keeps
         # the surviving edges in relative order
@@ -292,9 +312,9 @@ def contraction_reduce(G, rng=None):
                 record(kind, p, q)
                 current[p], current[q] = current[q], current[p]
 
-    M = apply_operations(one_minus_edge_matrix(G), ops)
-    diag = [M[i][i] for i in range(two_m)]
-    if any(M[i][j] for i in range(two_m) for j in range(two_m) if i != j):
+    R = apply_operations(one_minus_edge_matrix(G) if M is None else M, ops)
+    diag = [R[i][i] for i in range(two_m)]
+    if any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(R)):
         raise TheoremViolation("the contraction reduction must end diagonal")
     if not (
         all(abs(d) == 1 for d in diag[: two_m - g - 1])
@@ -337,25 +357,14 @@ def expected_invariants(G):
 
 
 def _unit_position(G, M, snf=None):
-    """(order, witness) of the unit class, or None when the order is infinite.
-
-    M is 1 - A and snf, when given, its Smith form.  The solver result is
-    cross-checked against the closed form of ``expected_invariants``.
-    """
+    """(order, witness) of the unit class, or None when the order is infinite,
+    solved on M = 1 - A (and its Smith form snf) and checked against the closed form."""
     expected = expected_invariants(G)[2]
     result = solve_min_scalar(M, [1] * len(M), snf)
     found = None if result is None else result[0]
     if found != expected:
         raise TheoremViolation(f"unit order solver found {found}, closed form gives {expected}")
     return result
-
-
-def unit_order(G):
-    """Order of the unit class: least lam > 0 with lam * (1, ..., 1) in the
-    image of 1 - A, or None (infinite order, g = 1)."""
-    _require_genus(G, 1)
-    result = _unit_position(G, one_minus_edge_matrix(G))
-    return None if result is None else result[0]
 
 
 EQUIVALENT = "EQUIVALENT"
@@ -400,12 +409,6 @@ def classify_stable(G1, G2):
     return out
 
 
-def _k0_and_unit_order(G):
-    # one decomposition per graph, released before the next graph's
-    M, snf = _decompose(G)
-    return snf.cokernel, _unit_position(G, M, snf)[0]
-
-
 def classify_strict(G1, G2):
     """Strict-isomorphism verdict: isomorphic exactly when the Betti
     numbers and the unit-class orders agree.  If the simplicity hypothesis
@@ -435,7 +438,7 @@ def ktheory_report(G):
     g = _require_genus(G, 1)
     M, snf = _decompose(G)
     group = snf.cokernel
-    basis = cycle_lattice(G) if g >= 2 else hermite_normal_form(g1_kernel_generators(G))[0]
+    basis = cycle_lattice(G) if g >= 2 else _g1_kernel(G)[1]
     rank = len(basis)
     expected_group, expected_rank, _ = expected_invariants(G)
     if group != expected_group:

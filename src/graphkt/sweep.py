@@ -26,6 +26,7 @@ from .edge_operator import (
 from .errors import DomainError, TheoremViolation
 from .exact_linalg import (
     AbelianGroup,
+    _min_scalar,
     apply_operations,
     apply_row_operations_to_vector,
     hermite_normal_form,
@@ -193,7 +194,7 @@ class GraphChecks:
 
     @cached_property
     def transcript(self):
-        return ktheory.contraction_reduce(self.graph)
+        return ktheory.contraction_reduce(self.graph, M=self.M)
 
     @cached_property
     def unit(self):
@@ -369,17 +370,14 @@ def check_unit_order(ctx):
     diag = ctx.snf.diagonal
     c = apply_row_operations_to_vector([1] * len(ctx.M), ctx.snf.operations)
     for smaller in range(1, lam):
-        solvable = all(
-            (c[i] == 0 if (i >= len(diag) or diag[i] == 0) else (smaller * c[i]) % diag[i] == 0)
-            for i in range(len(ctx.M))
-        )
+        solvable = all((smaller * v) % d == 0 if d else v == 0 for d, v in zip(diag, c))
         _need(not solvable, f"scalar {smaller} < {lam} must not be solvable")
     return True
 
 
 def check_reduction_transcript(ctx):
     # contraction_reduce certifies its log by one replay on 1 - A and on the
-    # ones vector; here its diagonal meets the Smith form's
+    # ones vector; here its diagonal and unit order meet the Smith route's
     if ctx.g < 1:
         return False
     t = ctx.transcript
@@ -387,6 +385,8 @@ def check_reduction_transcript(ctx):
         AbelianGroup.from_diagonal(t.final_diagonal, t.size) == ctx.snf.cokernel,
         "transcript diagonal must match the smith diagonal canonically",
     )
+    lam = _min_scalar(t.final_diagonal, t.ones_image)
+    _need(lam == (ctx.unit and ctx.unit[0]), "transcript unit order must match the smith route's")
     return True
 
 
@@ -402,7 +402,7 @@ def check_contraction_claim(ctx):
             "contraction must split off a rank-2 unit block",
         )
     rng = random.Random(zlib.crc32(format_graph(G).encode()))
-    shuffled = ktheory.contraction_reduce(G, rng=rng)
+    shuffled = ktheory.contraction_reduce(G, rng=rng, M=ctx.M)
     _need(
         AbelianGroup.from_diagonal(shuffled.final_diagonal, len(ctx.M)) == group,
         "final diagonal must not depend on the contraction order",

@@ -2,11 +2,14 @@ import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from graphkt import format_graph, generate_flower, generate_theta, parse_graph
-from graphkt.cli import main
+from graphkt.cli import _json, main
 from graphkt.errors import TheoremViolation
 
 
@@ -393,3 +396,31 @@ def test_one_process_matches_separate_processes(capsys, flower3):
         separate.append((proc.returncode, proc.stdout, proc.stderr))
     assert shared == separate
     assert [code for code, _, _ in shared] == [0, 0, 2]
+
+
+def _dumps(payload):
+    # the encoder _json replaces
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_writer_matches_json_dumps_on_golden_payloads():
+    payloads = []
+    for path in sorted((Path(__file__).parent / "golden").glob("*.out")):
+        try:
+            payloads.append(json.loads(path.read_text(encoding="utf-8")))
+        except json.JSONDecodeError:  # a --format text view
+            continue
+    assert len(payloads) >= 15
+    for payload in payloads:
+        assert _json(payload) == _dumps(payload)
+    assert _json({"t": (1, (2, [])), "e": {}}) == _dumps({"t": (1, (2, [])), "e": {}})
+
+
+_LEAVES = st.none() | st.booleans() | st.integers(-(10**40), 10**40) | st.text()
+
+
+@given(st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=25))
+@example({"line\nbreak": ["é\n\u2603", True, None, -(2**70)], "": [[], {}, 0, False]})
+def test_json_writer_matches_json_dumps(payload):
+    assert _json(payload) == _dumps(payload)

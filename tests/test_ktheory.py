@@ -45,8 +45,11 @@ from graphkt.exact_linalg import (
 )
 from graphkt.ktheory import (
     ReductionTranscript,
+    _decompose,
+    _k0_and_unit_order,
     _require_genus,
     _unit_hermite,
+    _unit_position,
     boundary_algebra_compatible,
     contraction_reduce,
     cycle_lattice,
@@ -55,9 +58,8 @@ from graphkt.ktheory import (
     k0,
     k1,
     simplicity_flags,
-    unit_order,
 )
-from graphkt.multigraph import betti_number, contract_edge, cycle_basis, is_connected
+from graphkt.multigraph import betti_number, contract_edge, cycle_basis, is_connected, valences
 from graphkt.sweep import SweepConfig, enumerate_connected, run_sweep
 
 from .strategies import connected_multigraphs
@@ -413,7 +415,10 @@ def dense_contraction_reduce(G, rng=None):
         nonloops = [j for j, (u, v) in enumerate(H.edges) if u != v]
         if not nonloops:
             break
-        j = nonloops[0] if rng is None else rng.choice(nonloops)
+        # least valence sum in H, recounted on H every round; ties by lowest index
+        val = valences(H)
+        j = rng.choice(nonloops) if rng is not None else min(
+            nonloops, key=lambda k: val[H.edges[k][0]] + val[H.edges[k][1]])
         m_h = len(H.edges)
         ends = oriented_edges(H)
 
@@ -625,27 +630,119 @@ class TestTranscriptFromTheGraph:
 
 class TestUnitOrder:
     def test_flower5(self):
-        assert unit_order(generate_flower(5)) == 4
+        assert _k0_and_unit_order(generate_flower(5))[1] == 4
 
     def test_theta4(self):
         # 2 vertices, 5 edges: (g - 1) / gcd(g - 1, 2) = 3
-        assert unit_order(generate_theta(4)) == 3
+        assert _k0_and_unit_order(generate_theta(4))[1] == 3
 
     def test_chain5(self):
         # 8 vertices: (5 - 1) / gcd(4, 8) = 1
-        assert unit_order(generate_chain(5)) == 1
+        assert _k0_and_unit_order(generate_chain(5))[1] == 1
 
     def test_flower1_infinite(self):
-        assert unit_order(generate_flower(1)) is None
+        assert _k0_and_unit_order(generate_flower(1))[1] is None
 
     @settings(max_examples=40)
     @given(connected_multigraphs(min_genus=2))
     def test_closed_forms(self, G):
         g = betti_number(G)
-        lam = unit_order(G)
+        lam = _k0_and_unit_order(G)[1]
+        assert _unit_position(G, one_minus_edge_matrix(G))[0] == lam
         assert lam == (g - 1) // gcd(g - 1, G.vertex_count)
         assert lam == (g - 1) // gcd(g - 1, len(G.edges))
         assert (g - 1) % lam == 0
+
+
+def _smith_route(G):
+    # the Smith route, as invariants reads it: one Smith form of 1 - A and the
+    # unit solve on its log
+    M, snf = _decompose(G)
+    return snf.cokernel, _unit_position(G, M, snf)[0]
+
+
+def _both_routes(G1, G2):
+    """Both verdicts of each mode, from the transcript and from the Smith route."""
+    import graphkt.ktheory as ktheory_mod
+
+    new = [classify_strict(G1, G2), classify_stable(G1, G2)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ktheory_mod, "_k0_and_unit_order", _smith_route)
+        old = [classify_strict(G1, G2), classify_stable(G1, G2)]
+    return new, old
+
+
+def _doubled(min_scalar):
+    # a lambda helper that returns 2 lam, and None (infinite order) as it is
+    def doubled(diag, c):
+        lam = min_scalar(diag, c)
+        return None if lam is None else 2 * lam
+
+    return doubled
+
+
+class TestClassifyFromTheTranscript:
+    def test_equals_smith_route_on_small_classes(self):
+        graphs = [G for G in enumerate_connected(5, 6) if betti_number(G) >= 2]
+        assert len(graphs) > 200
+        for G1, G2 in zip(graphs, graphs[1:] + graphs[:1]):
+            new, old = _both_routes(G1, G2)
+            assert new == old
+
+    @settings(max_examples=40)
+    @given(connected_multigraphs(min_genus=2), connected_multigraphs(min_genus=2))
+    def test_equals_smith_route(self, G1, G2):
+        new, old = _both_routes(G1, G2)
+        assert new == old
+
+    def test_given_matrix_is_the_built_one_and_stays(self):
+        for G in [G for G in enumerate_connected(4, 5) if betti_number(G) >= 1] + [
+            _random_connected_graph(40, 40), _random_connected_graph(120, 120)
+        ]:
+            M = one_minus_edge_matrix(G)
+            assert contraction_reduce(G, M=M) == contraction_reduce(G)
+            assert M == one_minus_edge_matrix(G)
+
+    def _strict_exit(self, capsys):
+        code = main(["classify", str(GOLDEN / "flower4.graph"), str(GOLDEN / "theta4.graph"),
+                     "--strict"])
+        return code, capsys.readouterr().err
+
+    def test_doubled_ones_image_exits_3(self, monkeypatch, capsys):
+        import graphkt.ktheory as ktheory_mod
+
+        def doubled(v, ops):
+            return [2 * x for x in apply_row_operations_to_vector(v, ops)]
+
+        monkeypatch.setattr(ktheory_mod, "apply_row_operations_to_vector", doubled)
+        assert self._strict_exit(capsys) == (
+            3, "theorem violation: the ones-image must end with g * |V| and g zeros\n")
+
+    def test_transposed_cokernel_with_extra_torsion_exits_3(self, monkeypatch, capsys):
+        import graphkt.ktheory as ktheory_mod
+
+        def padded(M):
+            group = cokernel(M)
+            extra = 2 * (group.torsion[-1] if group.torsion else 1)
+            return AbelianGroup(group.free_rank, group.torsion + (extra,))
+
+        monkeypatch.setattr(ktheory_mod, "cokernel", padded)
+        assert self._strict_exit(capsys) == (
+            3, "theorem violation: cokernel must not depend on the transpose convention\n")
+
+    def test_doubled_unit_order_exits_3(self, monkeypatch, capsys):
+        import graphkt.ktheory as ktheory_mod
+
+        monkeypatch.setattr(ktheory_mod, "_min_scalar", _doubled(ktheory_mod._min_scalar))
+        assert self._strict_exit(capsys) == (
+            3, "theorem violation: unit order solver found 6, closed form gives 3\n")
+
+    def test_doubled_unit_order_recorded_by_sweep(self, monkeypatch):
+        import graphkt.sweep as sweep_mod
+
+        monkeypatch.setattr(sweep_mod, "_min_scalar", _doubled(sweep_mod._min_scalar))
+        report = run_sweep(SweepConfig(max_vertices=3, max_edges=4))
+        assert {f["check"] for f in report["failures"]} == {"reduction_transcript"}
 
 
 def _group_dict(group):
@@ -722,7 +819,7 @@ def test_order_realization_all_divisors(g):
         if not nonloops:
             break
         stages.append(contract_edge(stages[-1], nonloops[0]))
-    realized = {unit_order(S) for S in stages}
+    realized = {_k0_and_unit_order(S)[1] for S in stages}
     divisors = {d for d in range(1, g) if (g - 1) % d == 0}
     assert realized == divisors
 
@@ -782,6 +879,21 @@ class TestReport:
         rep = ktheory_report(generate_flower(1))
         assert rep["unit_order"] is None and rep["witnesses"]["unit_preimage"] is None
         assert rep["k0"] == _group_dict(AbelianGroup(2))
+
+    @pytest.mark.parametrize("G", [generate_flower(1), generate_cycle(4)], ids=["flower1", "cycle4"])
+    def test_g1_report_takes_one_hermite_form(self, G, monkeypatch):
+        import graphkt.ktheory as ktheory_mod
+
+        calls = []
+
+        def counted(M):
+            calls.append(len(M))
+            return hermite_normal_form(M)
+
+        monkeypatch.setattr(ktheory_mod, "hermite_normal_form", counted)
+        rep = ktheory_report(G)
+        assert calls == [2]
+        assert rep["k1_basis"] == hermite_normal_form(list(g1_kernel_generators(G)))[0]
 
     def test_json_shape(self):
         payload = ktheory_report(generate_theta(3))
