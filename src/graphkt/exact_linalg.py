@@ -21,10 +21,10 @@ entry on only the plain vectors they need (rows of x and columns of y at
 the kernel positions, x b and y z), and tests compare its four products
 x v, v x, y v and v y with the materialised transforms.
 
-``reversed_charpoly`` gives det(1 - uM) from Hessenberg reductions modulo
-primes, as many as the Hadamard bound ``charpoly_bound`` needs: one
-Mersenne prime up to 2^127 - 1 when one suffices, then primes below 2^61
-recombined by CRT.
+``reversed_charpoly`` gives det(1 - uM), both zeta sides, by Hessenberg
+reductions modulo as many primes as the bound ``charpoly_bound`` needs: one
+Mersenne prime up to 2^127 - 1 when one suffices, then primes below 2^61 by
+CRT.  ``determinant`` and ``poly_matrix_det`` serve the sweep and the tests.
 """
 
 from __future__ import annotations
@@ -605,7 +605,7 @@ def charpoly_bound(M):
     k-minors, so by Hadamard |c_k| <= e_k of the row norms, here rounded up."""
     e = [1]
     for row in M:
-        q = isqrt(sum(v * v for v in row) << 32) + 1  # q >= 2^16 |row|
+        q = isqrt(sum(map(mul, row, row)) << 32) + 1  # q >= 2^16 |row|
         e = [a + q * b for a, b in zip(e + [0], [0] + e)]
     return max(c >> 16 * k for k, c in enumerate(e)) + 1
 
@@ -632,13 +632,16 @@ def charpoly_mod(M, p):
         k = next((i for i in range(c, n) if H[i][c - 1]), None)
         if k is None:
             continue
-        H[k], H[c] = H[c], H[k]
-        for row in H:
-            row[k], row[c] = row[c], row[k]
+        if k != c:
+            H[k], H[c] = H[c], H[k]
+            for row in H:
+                row[k], row[c] = row[c], row[k]
         # row i -= u * row c clears column c - 1; column c += u * column i
         # undoes it.  Both touch only the entries that a nonzero can change.
         inv = pow(H[c][c - 1], -1, p)
         us = [(i, H[i][c - 1] * inv % p) for i in range(c + 1, n) if H[i][c - 1]]
+        if not us:
+            continue
         pivot_row = [(j, b) for j, b in enumerate(H[c]) if b]
         for i, u in us:
             row = H[i]

@@ -4,26 +4,20 @@ The reciprocal zeta polynomial det(1 - uA) computed on oriented edges must
 factor through the vertex data as (1 - u^2)^(g-1) * det(I - u*A_V + u^2*Q),
 where A_V is the vertex adjacency matrix (a loop adds 2 to its diagonal
 entry) and Q = D - I with D the valence diagonal (loops count 2).  The
-vanishing order at u = 1 recovers the corank of 1 - A.  The edge side is
-a Hessenberg characteristic polynomial of A modulo primes; the vertex side
-evaluates the |V| x |V| matrix at the integer points 0, 1, ..., at most
-2|V|, and interpolates by Newton's forward differences.  Two algorithms on two sets
-of data, so any disagreement raises TheoremViolation.
+vanishing order at u = 1 recovers the corank of 1 - A.  Both sides are
+Hessenberg characteristic polynomials modulo primes: of A (size 2m, edges
+grouped by terminus) and of the companion matrix L = [[A_V, -Q], [I, 0]]
+(size 2|V|), as det(I - uL) = det(I - u*A_V + u^2*Q).  Two sets of data, so
+any disagreement raises TheoremViolation; the sweep keeps a second algorithm.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 
-from .edge_operator import edge_matrix
+from .edge_operator import edge_matrix, oriented_edges
 from .errors import DomainError, TheoremViolation
-from .exact_linalg import (
-    poly_matrix_det,
-    poly_mul,
-    poly_pow,
-    poly_trim,
-    reversed_charpoly,
-)
+from .exact_linalg import poly_mul, poly_pow, reversed_charpoly
 from .ktheory import _require_genus, expected_invariants
 from .multigraph import betti_number, require_connected, valences
 
@@ -50,28 +44,29 @@ def vertex_adjacency_matrix(G):
 
 
 def edge_charpoly(G):
-    """det(1 - uA) for the non-backtracking edge matrix, exactly."""
+    """det(1 - uA) for the non-backtracking edge matrix, exactly.  Reduced
+    with the oriented edges grouped by terminus, a permutation similarity:
+    such rows differ only at the reversal entry, so they fill in little."""
     require_connected(G)
-    return reversed_charpoly(edge_matrix(G))
+    A = edge_matrix(G)
+    ends = oriented_edges(G)
+    order = sorted(range(len(A)), key=lambda e: ends[e][1])
+    return reversed_charpoly([[A[i][j] for j in order] for i in order])
 
 
 def ihara_rhs(G):
-    """(1 - u^2)^(g-1) * det(I - u*A_V + u^2*(D - I)) on vertex data."""
+    """(1 - u^2)^(g-1) * det(1 - uL) on vertex data, L = [[A_V, -(D - I)],
+    [I, 0]] with coordinates interleaved (x_0, y_0, x_1, y_1, ...)."""
     g = _require_genus(G, 1)
-    n = G.vertex_count
-    A_v = vertex_adjacency_matrix(G)
     val = valences(G)
-    P = [
-        [
-            poly_trim(
-                [1 if i == j else 0, -A_v[i][j], val[i] - 1 if i == j else 0]
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    det = poly_matrix_det(P)
-    return poly_mul(poly_pow([1, 0, -1], g - 1), det)
+    L = []
+    for i, row in enumerate(vertex_adjacency_matrix(G)):
+        x, y = [0] * (2 * len(row)), [0] * (2 * len(row))
+        x[::2] = row
+        x[2 * i + 1] = 1 - val[i]
+        y[2 * i] = 1
+        L += [x, y]
+    return poly_mul(poly_pow([1, 0, -1], g - 1), reversed_charpoly(L))
 
 
 def vanishing_order_at_one(p):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, GraphParseError, TheoremViolation
 
@@ -53,6 +54,11 @@ class Multigraph:
                 raise DomainError(
                     f"edge endpoint out of range: ({u}, {v}) with {n} vertices"
                 )
+
+    @cached_property
+    def connected(self):
+        """Whether the edges join all vertices, proved once per graph."""
+        return edges_connect(self.vertex_count, self.edges)
 
 
 def valences(G):
@@ -105,7 +111,7 @@ def edges_connect(n, edges):
 
 
 def is_connected(G):
-    return edges_connect(G.vertex_count, G.edges)
+    return G.connected
 
 
 def require_connected(G):

@@ -171,25 +171,17 @@ class TestZeta:
         assert captured.out == ""
         assert "theorem violation: edge and vertex zeta" in captured.err
 
-    def test_wrong_vertex_determinant_exits_3(self, capsys, theta3, monkeypatch):
-        # theta3's vertex side interpolates 5 determinants; the middle one
-        # off by one makes the division of the 2nd difference by 2! inexact
-        import graphkt.exact_linalg as linalg_mod
+    def test_wrong_companion_entry_exits_3(self, capsys, theta3, monkeypatch):
+        # one valence off by one is one wrong entry 1 - val[0] of the
+        # companion matrix L; the vertex side then disagrees with the edge side
+        import graphkt.ihara_zeta as zeta_mod
 
-        honest, calls = linalg_mod.determinant, []
-
-        def off_by_one(M):
-            calls.append(M)
-            return honest(M) + (len(calls) == 3)
-
-        monkeypatch.setattr(linalg_mod, "determinant", off_by_one)
+        honest = zeta_mod.valences
+        monkeypatch.setattr(zeta_mod, "valences", lambda G: [honest(G)[0] + 1] + honest(G)[1:])
         assert main(["zeta", theta3]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "theorem violation: interpolated determinant has a non-integer coefficient\n"
-        )
-        assert len(calls) == 5
+        assert captured.err == "theorem violation: edge and vertex zeta polynomials disagree\n"
 
     def test_forced_mismatch_exits_3_under_optimize(self, flower3):
         # the vertex side disagrees with the edge side; the mismatch must
@@ -291,6 +283,25 @@ class TestVerify:
         assert code == 5
         assert "counterexample" in capsys.readouterr().err
 
+    def test_wrong_vertex_determinant_exits_5(self, capsys, monkeypatch):
+        # zeta computes both sides without a determinant; the sweep's Bass
+        # check compares its vertex side with Bareiss determinants
+        # interpolated, and each of those off by one adds 1 to the constant term
+        import graphkt.exact_linalg as linalg_mod
+
+        honest, calls = linalg_mod.determinant, []
+
+        def off_by_one(M):
+            calls.append(M)
+            return honest(M) + 1
+
+        monkeypatch.setattr(linalg_mod, "determinant", off_by_one)
+        code, payload = run_json(capsys, ["verify", "--max-vertices", "2", "--max-edges", "3"])
+        assert code == 5 and calls
+        failures = {(f["check"], f["message"]) for f in payload["failures"]}
+        assert failures == {("bass_identity", "vertex side must match its Bareiss determinants")}
+        assert payload["checks"]["bass_identity"] == 0  # no graph with g >= 1 passes
+
     def test_theorem_violation_in_check_exits_5(self, capsys, monkeypatch):
         import graphkt.edge_operator as edge_mod
 
@@ -332,6 +343,21 @@ def test_huge_vertex_count_refused_before_allocation(tmp_path, command):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: graph must be connected\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["invariants", "{p}"], ["zeta", "{p}"], ["classify", "{p}", "{p}", "--stable"],
+     ["classify", "{p}", "{p}", "--strict"]],
+)
+def test_disconnected_input_exits_2(capsys, tmp_path, command):
+    # enough edges for a spanning tree, so union-find, not the edge count,
+    # must find the two components; Multigraph caches its answer
+    path = tmp_path / "two_flowers.graph"
+    path.write_text("vertices 2\nedge 0 0\nedge 0 0\nedge 1 1\nedge 1 1\n")
+    assert main([arg.format(p=path) for arg in command]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: graph must be connected\n"
 
 
 @pytest.mark.parametrize("command", ["invariants", "zeta"])

@@ -1,5 +1,4 @@
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,17 +13,24 @@ from graphkt import (
     generate_theta,
     zeta_report,
 )
-import graphkt.ihara_zeta as zeta_mod
 from graphkt.edge_operator import edge_matrix
 from graphkt.errors import TheoremViolation
-from graphkt.exact_linalg import charpoly_bound, poly_matrix_det, poly_mul, poly_trim
+from graphkt.exact_linalg import (
+    charpoly_bound,
+    poly_matrix_det,
+    poly_mul,
+    poly_pow,
+    poly_trim,
+    reversed_charpoly,
+)
 from graphkt.ihara_zeta import (
     edge_charpoly,
     ihara_rhs,
     vanishing_order_at_one,
     vertex_adjacency_matrix,
 )
-from graphkt.multigraph import is_connected
+from graphkt.multigraph import betti_number, is_connected
+from graphkt.sweep import _vertex_poly_matrix, enumerate_connected
 
 from .strategies import connected_multigraphs
 from .test_exact_linalg import cofactor_poly_det, count_passes, lagrange_poly_matrix_det
@@ -46,6 +52,13 @@ def charpoly_by_cofactors(G):
 def charpoly_by_interpolation(G):
     """The earlier edge route: 2m + 1 Bareiss determinants, interpolated."""
     return poly_matrix_det(one_minus_u_edge_matrix(G))
+
+
+def bareiss_rhs(G):
+    """The earlier vertex route: Bareiss determinants of I - u*A_V + u^2*Q,
+    interpolated, times (1 - u^2)^(g-1)."""
+    factor = poly_pow([1, 0, -1], betti_number(G) - 1)
+    return poly_mul(factor, poly_matrix_det(_vertex_poly_matrix(G)))
 
 
 def random_connected_graph(edge_count, seed):
@@ -103,8 +116,9 @@ class TestEdgeCharpoly:
         G = random_connected_graph(38, seed=38)
         bound = charpoly_bound(edge_matrix(G))
         assert bound.bit_length() == 110
+        expected = ihara_rhs(G)
         moduli = count_passes(monkeypatch)
-        assert edge_charpoly(G) == ihara_rhs(G)
+        assert edge_charpoly(G) == expected
         assert moduli == [(1 << 127) - 1]
 
     def test_small_bound_takes_the_61_bit_prime(self, monkeypatch):
@@ -134,9 +148,18 @@ class TestIharaRhs:
     @settings(max_examples=60, deadline=None)
     @given(connected_multigraphs(max_vertices=5, max_edges=8, min_genus=1))
     def test_newton_against_lagrange(self, G):
-        with mock.patch.object(zeta_mod, "poly_matrix_det", lagrange_poly_matrix_det):
-            oracle = ihara_rhs(G)
-        assert ihara_rhs(G) == oracle
+        # the sweep's Bareiss route, by both interpolations, against the companion
+        P = _vertex_poly_matrix(G)
+        assert poly_matrix_det(P) == lagrange_poly_matrix_det(P)
+        assert bareiss_rhs(G) == ihara_rhs(G)
+
+    def test_every_class_at_5_6_against_the_second_routes(self):
+        # companion against Bareiss, terminus order against index order
+        graphs = [G for G in enumerate_connected(5, 6) if betti_number(G) >= 1]
+        assert len(graphs) == 397
+        for G in graphs:
+            assert ihara_rhs(G) == bareiss_rhs(G)
+            assert edge_charpoly(G) == reversed_charpoly(edge_matrix(G))
 
 
 class TestBassIdentity:

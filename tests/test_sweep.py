@@ -200,6 +200,22 @@ class TestRunSweep:
             if betti_number(G) >= 1
         )
 
+    def test_connectivity_proved_once_per_graph(self, monkeypatch):
+        # the checks ask whether each graph is connected many times over;
+        # Multigraph caches the answer, so union-find runs once per graph
+        import graphkt.multigraph as graph_mod
+
+        honest, proved = graph_mod.edges_connect, []
+
+        def counted(n, edges):
+            proved.append(edges)
+            return honest(n, edges)
+
+        monkeypatch.setattr(graph_mod, "edges_connect", counted)
+        assert run_sweep(SweepConfig(max_vertices=4, max_edges=5))["ok"]
+        ids = [id(edges) for edges in proved if edges]  # () is one shared object
+        assert len(ids) == len(set(ids)) > 0
+
     def test_one_minus_a_and_its_transpose_reduced_once_per_graph(self, monkeypatch):
         # every check reads the two cached Smith forms; only the one-edge
         # contractions reduce a further matrix each
