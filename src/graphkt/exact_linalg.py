@@ -474,8 +474,12 @@ class AbelianGroup:
 
 
 def cokernel(M):
-    """Z^rows modulo the column span of M."""
-    return smith_normal_form(M).cokernel
+    """Z^rows modulo the column span of M, reduced from the last row up: a row
+    permutation is unimodular.  Row t of 1 - A^t is +1 at column t and -1 at
+    the edges entering t's origin, so in index order the unit scan pivots on
+    the diagonal and fills in; reversed, it pivots on an entering edge, and the
+    rows leaving that edge's terminus become differences of at most 4 entries."""
+    return smith_normal_form(M[::-1]).cokernel
 
 
 def _min_scalar(diag, c):

@@ -65,8 +65,8 @@ def _require_genus(G, minimum, message=None):
 def _decompose(G):
     """(M, snf): M = 1 - A and its Smith form.  The degree-zero group read
     off it is cross-checked against the cokernel of 1 - A^t, which reduces
-    the transpose independently (first, so that only one reduction is held
-    in memory at a time)."""
+    the transpose independently from its last row up (first, so that only
+    one reduction is held in memory at a time)."""
     M = one_minus_edge_matrix(G)
     transposed = cokernel(transpose(M))
     snf = smith_normal_form(M)

@@ -13,7 +13,13 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import graphkt.exact_linalg as linalg_mod
-from graphkt import Multigraph, generate_cycle, generate_flower, generate_theta
+from graphkt import (
+    Multigraph,
+    generate_chain,
+    generate_cycle,
+    generate_flower,
+    generate_theta,
+)
 from graphkt.edge_operator import edge_matrix, one_minus_edge_matrix
 from graphkt.errors import TheoremViolation
 from graphkt.exact_linalg import (
@@ -527,6 +533,7 @@ def check_smith_readers(M):
     assert len(basis) == cols - rank
     assert len(snf.left_kernel) == rows - rank
     assert snf.cokernel == AbelianGroup.from_diagonal(snf.diagonal, rows)
+    assert cokernel(M) == snf.cokernel  # cokernel reduces the rows in reverse order
     sym = sympy_snf(Matrix(M))
     sym_diag = [int(sym[i, i]) for i in range(min(sym.shape))]
     assert snf.cokernel == AbelianGroup.from_diagonal(sym_diag, rows)
@@ -619,6 +626,18 @@ class TestCokernel:
     def test_flower3(self):
         grp = cokernel(one_minus_edge_matrix(generate_flower(3)))
         assert grp == AbelianGroup(3, (2,))
+
+    # cokernel reduces the rows in reverse order; the group must be the one
+    # the index-order Smith form gives (check_smith_readers compares the two
+    # on hypothesis matrices)
+    def test_reversed_rows_equal_index_order_on_one_minus_a_transposed(self):
+        graphs = [G for G in enumerate_connected(5, 6) if betti_number(G) >= 1]
+        graphs += [generate_flower(g) for g in range(1, 49)]
+        graphs += [generate_theta(g) for g in range(1, 49)]
+        graphs += [generate_chain(g) for g in (2, 3, 5, 8, 13, 21, 34)]
+        for G in graphs:
+            Mt = transpose(one_minus_edge_matrix(G))
+            assert cokernel(Mt) == smith_normal_form(Mt).cokernel
 
     def test_canonical_form_enforced(self):
         with pytest.raises(ValueError):

@@ -718,7 +718,16 @@ class TestClassifyFromTheTranscript:
         assert self._strict_exit(capsys) == (
             3, "theorem violation: the ones-image must end with g * |V| and g zeros\n")
 
-    def test_transposed_cokernel_with_extra_torsion_exits_3(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariants", "flower4.graph"],  # the cross-check in _decompose
+            ["classify", "flower4.graph", "theta4.graph", "--stable"],  # in _k0_and_unit_order
+            ["classify", "flower4.graph", "theta4.graph", "--strict"],
+        ],
+        ids=["invariants", "classify-stable", "classify-strict"],
+    )
+    def test_transposed_cokernel_with_extra_torsion_exits_3(self, monkeypatch, capsys, argv):
         import graphkt.ktheory as ktheory_mod
 
         def padded(M):
@@ -727,7 +736,8 @@ class TestClassifyFromTheTranscript:
             return AbelianGroup(group.free_rank, group.torsion + (extra,))
 
         monkeypatch.setattr(ktheory_mod, "cokernel", padded)
-        assert self._strict_exit(capsys) == (
+        code = main([str(GOLDEN / a) if a.endswith(".graph") else a for a in argv])
+        assert (code, capsys.readouterr().err) == (
             3, "theorem violation: cokernel must not depend on the transpose convention\n")
 
     def test_doubled_unit_order_exits_3(self, monkeypatch, capsys):
@@ -743,6 +753,36 @@ class TestClassifyFromTheTranscript:
         monkeypatch.setattr(sweep_mod, "_min_scalar", _doubled(sweep_mod._min_scalar))
         report = run_sweep(SweepConfig(max_vertices=3, max_edges=4))
         assert {f["check"] for f in report["failures"]} == {"reduction_transcript"}
+
+
+class TestTransposedCrossCheckFill:
+    # cokernel reduces 1 - A^t from its last row up; in index order its Smith
+    # form pivots on the diagonal and fills in, logging over twice as much
+
+    @pytest.mark.parametrize(
+        "G",
+        [generate_flower(48), generate_theta(48), generate_chain(34),
+         _random_connected_graph(200, 200)],
+        ids=["flower48", "theta48", "chain34", "random200"],
+    )
+    def test_logs_at_most_half_of_index_order(self, G, monkeypatch):
+        import graphkt.exact_linalg as linalg_mod
+
+        logged = []
+
+        def counted(M):
+            snf = smith_normal_form(M)
+            logged.append(len(snf.operations))
+            return snf
+
+        Mt = transpose(one_minus_edge_matrix(G))
+        monkeypatch.setattr(linalg_mod, "smith_normal_form", counted)
+        group = cokernel(Mt)
+        monkeypatch.undo()
+        index_order = smith_normal_form(Mt)
+        assert group == index_order.cokernel
+        assert len(logged) == 1
+        assert 2 * logged[0] <= len(index_order.operations)
 
 
 def _group_dict(group):
