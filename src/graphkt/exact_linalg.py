@@ -257,7 +257,7 @@ class SmithDecomposition:
         Only those rows are replayed; x itself is never built."""
         rows = len(self.d)
         return hermite_normal_form([_replay_vector(e, self.operations, "row_", transposed=True)
-                                    for e in _unit_rows(self._free(rows), rows)])[0]
+                                    for e in _unit_rows(self._free(rows), rows)])
 
     @cached_property
     def right_kernel(self):
@@ -265,7 +265,7 @@ class SmithDecomposition:
         at the free positions span it.  Only those columns are replayed."""
         cols = len(self.d[0]) if self.d else 0
         return hermite_normal_form([_replay_vector(e, self.operations, "col_")
-                                    for e in _unit_rows(self._free(cols), cols)])[0]
+                                    for e in _unit_rows(self._free(cols), cols)])
 
 
 def smith_normal_form(M):
@@ -374,17 +374,14 @@ def smith_normal_form(M):
 
 
 def hermite_normal_form(M):
-    """Row-style Hermite normal form.
-
-    Returns (H, U) with U unimodular, U*M = H, H in row echelon form with
+    """Row-style Hermite normal form of M: H in row echelon form with
     positive pivots, entries above each pivot reduced into [0, pivot), and
-    zero rows last.  Two integer matrices span the same row lattice exactly
-    when their forms are equal.
+    zero rows last, reached by unimodular row operations.  Two integer
+    matrices span the same row lattice exactly when their forms are equal.
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
     H = [list(map(int, row)) for row in M]
-    U = identity_matrix(rows)
     r = 0
     for j in range(cols):
         if r == rows:
@@ -398,7 +395,6 @@ def hermite_normal_form(M):
             continue
         if pivot_row != r:
             H[r], H[pivot_row] = H[pivot_row], H[r]
-            U[r], U[pivot_row] = U[pivot_row], U[r]
         for i in range(r + 1, rows):
             if not H[i][j]:
                 continue
@@ -406,7 +402,6 @@ def hermite_normal_form(M):
             if b % a == 0:
                 q = b // a
                 H[i] = [x - q * y for x, y in zip(H[i], H[r])]
-                U[i] = [x - q * y for x, y in zip(U[i], U[r])]
             else:
                 g, s, t = xgcd(a, b)
                 ag, bg = a // g, b // g
@@ -415,21 +410,15 @@ def hermite_normal_form(M):
                     [s * x + t * y for x, y in zip(H[r], H[i])],
                     [-bg * x + ag * y for x, y in zip(H[r], H[i])],
                 )
-                U[r], U[i] = (
-                    [s * x + t * y for x, y in zip(U[r], U[i])],
-                    [-bg * x + ag * y for x, y in zip(U[r], U[i])],
-                )
         if H[r][j] < 0:
             H[r] = [-x for x in H[r]]
-            U[r] = [-x for x in U[r]]
         pivot = H[r][j]
         for i in range(r):
             q = H[i][j] // pivot
             if q:
                 H[i] = [x - q * y for x, y in zip(H[i], H[r])]
-                U[i] = [x - q * y for x, y in zip(U[i], U[r])]
         r += 1
-    return H, U
+    return H
 
 
 def kernel_basis(M):

@@ -5,9 +5,10 @@ arithmetic: the cokernel of 1 - A^t gives the degree-zero group, the kernel
 of the operator (the right kernel of 1 - A^t, since the operator acts on
 column vectors as the transpose of A) gives the degree-one group.  The
 order of the unit class is the least positive lam with lam * (1, ..., 1) in
-the image of 1 - A.  ``classify`` reads both off the contraction transcript
-X (1 - A) Y = D: coker D and the least lam with D z = lam X 1 solvable.  The
-report reads them and the witness Y z off one Smith form's D and log alone.
+the image of 1 - A.  Every report reads them off one Smith form
+X (1 - A) Y = D (``_decompose``): coker D, the least lam with D z = lam X 1
+solvable and the witness Y z, made canonical.  The contraction transcript
+(``contraction_reduce``) is that route's oracle in the sweep and the tests.
 The kernel needs no reduction: for g >= 2 it is the lifted cycle lattice,
 and the lifted fundamental cycles of one spanning tree are its Hermite
 basis (``cycle_lattice``); for g = 1 two explicit generators span it.  Each
@@ -29,12 +30,12 @@ from .errors import DomainError, TheoremViolation
 from .exact_linalg import (
     AbelianGroup,
     _min_scalar,
+    _replay_vector,
     apply_operations,
     apply_row_operations_to_vector,
     cokernel,
     hermite_normal_form,
     smith_normal_form,
-    solve_min_scalar,
     transpose,
 )
 from .multigraph import _incidence, betti_number, cycle_basis, valences
@@ -63,35 +64,28 @@ def _require_genus(G, minimum, message=None):
 
 
 def _decompose(G):
-    """(M, snf): M = 1 - A and its Smith form.  The degree-zero group read
-    off it is cross-checked against the cokernel of 1 - A^t, which reduces
-    the transpose independently from its last row up (first, so that only
-    one reduction is held in memory at a time)."""
+    """(K0, unit order, snf, x 1) for M = 1 - A: snf is x P M y = D, P the row
+    reversal, for ``cokernel``'s reason with successors for predecessors:
+    row e of M is -1 at e's successors, so reversed, the unit scan pivots on
+    a successor instead of the diagonal and does not fill in.  P 1 = 1, so
+    the log solves M w = lam * 1 as it stands.  K0 is cross-checked against
+    the cokernel of 1 - A^t, reduced first so that one reduction is held at
+    a time, and lam against the closed form."""
     M = one_minus_edge_matrix(G)
     transposed = cokernel(transpose(M))
-    snf = smith_normal_form(M)
+    snf = smith_normal_form(M[::-1])
     if snf.cokernel != transposed:
         raise TheoremViolation("cokernel must not depend on the transpose convention")
-    return M, snf
-
-
-def _k0_and_unit_order(G):
-    """(K0, unit order) off the contraction transcript of M = 1 - A, checked
-    against the Smith form of 1 - A^t and against the closed form."""
-    M = one_minus_edge_matrix(G)
-    t = contraction_reduce(G, M=M)
-    group = AbelianGroup.from_diagonal(t.final_diagonal, t.size)
-    if group != cokernel(transpose(M)):
-        raise TheoremViolation("cokernel must not depend on the transpose convention")
-    found, expected = _min_scalar(t.final_diagonal, t.ones_image), expected_invariants(G)[2]
+    ones = apply_row_operations_to_vector([1] * len(M), snf.operations)
+    found, expected = _min_scalar(snf.diagonal, ones), expected_invariants(G)[2]
     if found != expected:
         raise TheoremViolation(f"unit order solver found {found}, closed form gives {expected}")
-    return group, found
+    return transposed, found, snf, ones
 
 
 def k0(G):
     """Cokernel of 1 - A^t on Z^(2m), cross-computed from 1 - A."""
-    return _k0_and_unit_order(G)[0]
+    return _decompose(G)[0]
 
 
 def k1(G):
@@ -193,7 +187,7 @@ def _g1_kernel(G):
 
     _annihilated(succ, second)
     # pivots 1 make the two independent and saturated, and the kernel has rank 2
-    return (lifted, second), _unit_hermite(hermite_normal_form([lifted, second])[0])
+    return (lifted, second), _unit_hermite(hermite_normal_form([lifted, second]))
 
 
 @dataclass(frozen=True)
@@ -356,17 +350,6 @@ def expected_invariants(G):
     return AbelianGroup(g, torsion), g, (g - 1) // gcd(g - 1, G.vertex_count)
 
 
-def _unit_position(G, M, snf=None):
-    """(order, witness) of the unit class, or None when the order is infinite,
-    solved on M = 1 - A (and its Smith form snf) and checked against the closed form."""
-    expected = expected_invariants(G)[2]
-    result = solve_min_scalar(M, [1] * len(M), snf)
-    found = None if result is None else result[0]
-    if found != expected:
-        raise TheoremViolation(f"unit order solver found {found}, closed form gives {expected}")
-    return result
-
-
 EQUIVALENT = "EQUIVALENT"
 NOT_EQUIVALENT = "NOT_EQUIVALENT"
 ISOMORPHIC = "ISOMORPHIC"
@@ -415,7 +398,7 @@ def classify_strict(G1, G2):
     fails on either side the verdict is INDETERMINATE."""
     g1 = _require_genus(G1, 2, _CLASSIFY_MESSAGE)
     g2 = _require_genus(G2, 2, _CLASSIFY_MESSAGE)
-    groups, orders = zip(_k0_and_unit_order(G1), _k0_and_unit_order(G2))
+    groups, orders = zip(_decompose(G1)[:2], _decompose(G2)[:2])
     flags = (simplicity_flags(G1, g1)[2], simplicity_flags(G2, g2)[2])
     if not all(flags):
         reason = "simplicity hypothesis fails, so the unit-position criterion does not apply"
@@ -433,11 +416,34 @@ def boundary_algebra_compatible(G):
     return expected_invariants(G)[2] == g - 1
 
 
+def _canonical_witness(G, lam, snf, ones, basis):
+    """The one x with (1 - A) x = lam * 1 that is 0 at every non-tree edge.
+    y z, z = lam D^-1 (x 1), replayed off the log of ``_decompose``, solves
+    it, and the solutions differ by the right kernel of 1 - A: for g >= 2
+    the lifted cycle lattice, since A^t = R A R for the reversal R and R
+    negates a lifted cycle.  Each row of ``cycle_lattice`` has pivot 1 at
+    its non-tree edge and 0 at the others, so subtracting x[p] times each
+    row leaves the solution that is 0 at every pivot.  Both are checked, the
+    equation on the successor lists, in O(g m + nnz(A))."""
+    z = [lam * v // d if d else 0 for d, v in zip(snf.diagonal, ones)]
+    x = _replay_vector(z, snf.operations, "col_")
+    pivots = [next(j for j, k in enumerate(row) if k) for row in basis]
+    for p, row in zip(pivots, basis):
+        k = x[p]
+        if k:
+            x = [a - k * b for a, b in zip(x, row)]
+    if any(x[p] for p in pivots) or any(
+        a - sum(x[f] for f in succ) != lam for a, succ in zip(x, successors(G))
+    ):
+        raise TheoremViolation("unit witness must solve (1 - A) x = lam * 1 and vanish "
+                               "at the non-tree edges")
+    return x
+
+
 def ktheory_report(G):
     """Full invariant report with all cross-checks applied, as printed."""
     g = _require_genus(G, 1)
-    M, snf = _decompose(G)
-    group = snf.cokernel
+    group, order, snf, ones = _decompose(G)
     basis = cycle_lattice(G) if g >= 2 else _g1_kernel(G)[1]
     rank = len(basis)
     expected_group, expected_rank, _ = expected_invariants(G)
@@ -445,7 +451,7 @@ def ktheory_report(G):
         raise TheoremViolation(f"unexpected degree-zero group {group} for g = {g}")
     if rank != expected_rank:
         raise TheoremViolation(f"unexpected kernel rank {rank} for g = {g}")
-    position = _unit_position(G, M, snf)
+    witness = None if order is None else _canonical_witness(G, order, snf, ones, basis)
     irreducible, permutation, simple = simplicity_flags(G, g)
     return {
         "g": g,
@@ -454,8 +460,8 @@ def ktheory_report(G):
         "k0": _group_json(group),
         "k1_rank": rank,
         "k1_basis": [list(row) for row in basis],
-        "unit_order": None if position is None else position[0],
-        "witnesses": {"unit_preimage": None if position is None else list(position[1])},
+        "unit_order": order,
+        "witnesses": {"unit_preimage": witness},
         "simplicity": {
             "irreducible": irreducible,
             "permutation": permutation,

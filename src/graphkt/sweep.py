@@ -221,7 +221,7 @@ def check_graph_structure(ctx):
     for c in basis:
         _need(not any(boundary(G, c)), "cycle basis vector outside the boundary kernel")
     if basis:
-        H, _ = hermite_normal_form(basis)
+        H = hermite_normal_form(basis)
         _need(
             sum(1 for row in H if any(row)) == g,
             "cycle basis must have full rank g",

@@ -143,6 +143,27 @@ class TestClassify:
         small.write_text("vertices 1\nedge 0 0\n")
         assert main(["classify", str(small), flower3, "--stable"]) == 2
 
+    @pytest.mark.parametrize("mode", ["--stable", "--strict"])
+    def test_forced_mismatch_exits_3_under_optimize(self, flower3, theta3, mode):
+        # both modes take the route of invariants, transposed cross-check included
+        script = textwrap.dedent(
+            f"""
+            import sys
+            import graphkt.ktheory
+            from graphkt.cli import main
+            from graphkt.exact_linalg import AbelianGroup
+
+            assert False, "this script must run under python -O"
+            graphkt.ktheory.cokernel = lambda M: AbelianGroup(0)
+            sys.exit(main(["classify", {flower3!r}, {theta3!r}, {mode!r}]))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "theorem violation: cokernel" in proc.stderr
+
 
 class TestZeta:
     def test_flower2(self, capsys, tmp_path):

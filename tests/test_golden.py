@@ -2,8 +2,10 @@
 
 ``tests/golden`` holds input graphs and the exact stdout that
 ``invariants`` and ``classify --strict`` printed for them before the
-invariants were read from a single Smith form.  Any change to the bytes
-(witnesses and kernel bases included) fails here.  It also holds what
+invariants were read from a single Smith form; the g >= 2 unit witnesses
+are the canonical ones, 0 at every non-tree edge, that replaced the
+index-order Smith form's.  Any change to the bytes (witnesses and kernel
+bases included) fails here.  It also holds what
 ``verify`` printed before its classes grew from their parents and its
 Smith forms were checked through their logs, and what ``zeta``, the
 ``--format text`` views and an INDETERMINATE classification printed, with
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import graphkt.exact_linalg as linalg_mod
 from graphkt.cli import main
 from graphkt.exact_linalg import SmithDecomposition
 
@@ -90,6 +93,9 @@ def test_reports_never_build_the_witnesses(monkeypatch, capsys):
     def refuse_kernel(self):
         raise AssertionError("a Smith form's kernel rows were replayed")
 
+    def refuse_dense(*args):
+        raise AssertionError("a report solved or multiplied by the dense 1 - A")
+
     monkeypatch.setattr(SmithDecomposition, "x", property(refuse))
     monkeypatch.setattr(SmithDecomposition, "y", property(refuse))
     graphs = sorted(GOLDEN.glob("*.graph"))
@@ -98,6 +104,10 @@ def test_reports_never_build_the_witnesses(monkeypatch, capsys):
         # invariants reads the kernel off a spanning tree; the Smith route's
         # left kernel is the sweep's and the tests' oracle
         mp.setattr(SmithDecomposition, "left_kernel", property(refuse_kernel))
+        # the witness is checked on the successor lists; the index-order
+        # solve and its dense product are the sweep's and the tests' oracle
+        mp.setattr(linalg_mod, "solve_min_scalar", refuse_dense)
+        mp.setattr(linalg_mod, "mat_vec", refuse_dense)
         for path in graphs:
             assert main(["invariants", str(path)]) == 0
         pair = [str(GOLDEN / "flower4.graph"), str(GOLDEN / "theta4.graph")]

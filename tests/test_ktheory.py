@@ -32,6 +32,8 @@ from graphkt.edge_operator import (
 from graphkt.errors import TheoremViolation
 from graphkt.exact_linalg import (
     AbelianGroup,
+    _min_scalar,
+    _replay_vector,
     apply_operation,
     apply_operations,
     apply_row_operations_to_vector,
@@ -46,10 +48,8 @@ from graphkt.exact_linalg import (
 from graphkt.ktheory import (
     ReductionTranscript,
     _decompose,
-    _k0_and_unit_order,
     _require_genus,
     _unit_hermite,
-    _unit_position,
     boundary_algebra_compatible,
     contraction_reduce,
     cycle_lattice,
@@ -259,8 +259,8 @@ class TestTreeKernelBasis:
         import graphkt.ktheory as ktheory_mod
 
         def doubling(M):
-            H, U = hermite_normal_form(M)
-            return [H[0]] + [[2 * x for x in row] for row in H[1:]], U
+            H = hermite_normal_form(M)
+            return [H[0]] + [[2 * x for x in row] for row in H[1:]]
 
         monkeypatch.setattr(ktheory_mod, "hermite_normal_form", doubling)
         assert _invariants_exit("flower1.graph", capsys) == (
@@ -628,46 +628,50 @@ class TestTranscriptFromTheGraph:
         assert sorted(calls) == ["1 - A", "A"]
 
 
+def _transcript_route(G):
+    """(K0, unit order, transcript) off the contraction transcript: the
+    oracle of ``_decompose``, which reduces a Smith form of 1 - A instead."""
+    t = contraction_reduce(G)
+    diag = t.final_diagonal
+    return AbelianGroup.from_diagonal(diag, t.size), _min_scalar(diag, t.ones_image), t
+
+
 class TestUnitOrder:
     def test_flower5(self):
-        assert _k0_and_unit_order(generate_flower(5))[1] == 4
+        assert _decompose(generate_flower(5))[1] == 4 == _transcript_route(generate_flower(5))[1]
 
     def test_theta4(self):
         # 2 vertices, 5 edges: (g - 1) / gcd(g - 1, 2) = 3
-        assert _k0_and_unit_order(generate_theta(4))[1] == 3
+        assert _decompose(generate_theta(4))[1] == 3 == _transcript_route(generate_theta(4))[1]
 
     def test_chain5(self):
         # 8 vertices: (5 - 1) / gcd(4, 8) = 1
-        assert _k0_and_unit_order(generate_chain(5))[1] == 1
+        assert _decompose(generate_chain(5))[1] == 1 == _transcript_route(generate_chain(5))[1]
 
     def test_flower1_infinite(self):
-        assert _k0_and_unit_order(generate_flower(1))[1] is None
+        assert _decompose(generate_flower(1))[1] is None
+        assert _transcript_route(generate_flower(1))[1] is None
 
     @settings(max_examples=40)
     @given(connected_multigraphs(min_genus=2))
     def test_closed_forms(self, G):
         g = betti_number(G)
-        lam = _k0_and_unit_order(G)[1]
-        assert _unit_position(G, one_minus_edge_matrix(G))[0] == lam
+        group, lam = _decompose(G)[:2]
+        assert (group, lam) == _transcript_route(G)[:2]
+        M = one_minus_edge_matrix(G)
+        assert solve_min_scalar(M, [1] * len(M))[0] == lam
         assert lam == (g - 1) // gcd(g - 1, G.vertex_count)
         assert lam == (g - 1) // gcd(g - 1, len(G.edges))
         assert (g - 1) % lam == 0
 
 
-def _smith_route(G):
-    # the Smith route, as invariants reads it: one Smith form of 1 - A and the
-    # unit solve on its log
-    M, snf = _decompose(G)
-    return snf.cokernel, _unit_position(G, M, snf)[0]
-
-
 def _both_routes(G1, G2):
-    """Both verdicts of each mode, from the transcript and from the Smith route."""
+    """Both verdicts of each mode, from ``_decompose`` and from the transcript."""
     import graphkt.ktheory as ktheory_mod
 
     new = [classify_strict(G1, G2), classify_stable(G1, G2)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ktheory_mod, "_k0_and_unit_order", _smith_route)
+        mp.setattr(ktheory_mod, "_decompose", _transcript_route)
         old = [classify_strict(G1, G2), classify_stable(G1, G2)]
     return new, old
 
@@ -682,6 +686,9 @@ def _doubled(min_scalar):
 
 
 class TestClassifyFromTheTranscript:
+    """Both classify modes read K0 and the unit order off ``_decompose``, the
+    Smith route of every report; the contraction transcript is its oracle."""
+
     def test_equals_smith_route_on_small_classes(self):
         graphs = [G for G in enumerate_connected(5, 6) if betti_number(G) >= 2]
         assert len(graphs) > 200
@@ -703,26 +710,24 @@ class TestClassifyFromTheTranscript:
             assert contraction_reduce(G, M=M) == contraction_reduce(G)
             assert M == one_minus_edge_matrix(G)
 
-    def _strict_exit(self, capsys):
-        code = main(["classify", str(GOLDEN / "flower4.graph"), str(GOLDEN / "theta4.graph"),
-                     "--strict"])
-        return code, capsys.readouterr().err
-
-    def test_doubled_ones_image_exits_3(self, monkeypatch, capsys):
+    def test_doubled_ones_image_recorded_by_sweep(self, monkeypatch, capsys):
+        # no command but verify runs the transcript: its check reaches the raise
         import graphkt.ktheory as ktheory_mod
 
         def doubled(v, ops):
             return [2 * x for x in apply_row_operations_to_vector(v, ops)]
 
         monkeypatch.setattr(ktheory_mod, "apply_row_operations_to_vector", doubled)
-        assert self._strict_exit(capsys) == (
-            3, "theorem violation: the ones-image must end with g * |V| and g zeros\n")
+        assert main(["verify", "--max-vertices", "1", "--max-edges", "2"]) == 5
+        assert capsys.readouterr().err.startswith(
+            "counterexample for reduction_transcript: "
+            "the ones-image must end with g * |V| and g zeros\n")
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["invariants", "flower4.graph"],  # the cross-check in _decompose
-            ["classify", "flower4.graph", "theta4.graph", "--stable"],  # in _k0_and_unit_order
+            ["classify", "flower4.graph", "theta4.graph", "--stable"],  # through k0
             ["classify", "flower4.graph", "theta4.graph", "--strict"],
         ],
         ids=["invariants", "classify-stable", "classify-strict"],
@@ -744,8 +749,11 @@ class TestClassifyFromTheTranscript:
         import graphkt.ktheory as ktheory_mod
 
         monkeypatch.setattr(ktheory_mod, "_min_scalar", _doubled(ktheory_mod._min_scalar))
-        assert self._strict_exit(capsys) == (
-            3, "theorem violation: unit order solver found 6, closed form gives 3\n")
+        pair = [str(GOLDEN / "flower4.graph"), str(GOLDEN / "theta4.graph")]
+        for argv in (["invariants", pair[0]], ["classify", *pair, "--stable"],
+                     ["classify", *pair, "--strict"]):
+            assert (main(argv), capsys.readouterr().err) == (
+                3, "theorem violation: unit order solver found 6, closed form gives 3\n")
 
     def test_doubled_unit_order_recorded_by_sweep(self, monkeypatch):
         import graphkt.sweep as sweep_mod
@@ -859,7 +867,7 @@ def test_order_realization_all_divisors(g):
         if not nonloops:
             break
         stages.append(contract_edge(stages[-1], nonloops[0]))
-    realized = {_k0_and_unit_order(S)[1] for S in stages}
+    realized = {_decompose(S)[1] for S in stages}
     divisors = {d for d in range(1, g) if (g - 1) % d == 0}
     assert realized == divisors
 
@@ -933,7 +941,7 @@ class TestReport:
         monkeypatch.setattr(ktheory_mod, "hermite_normal_form", counted)
         rep = ktheory_report(G)
         assert calls == [2]
-        assert rep["k1_basis"] == hermite_normal_form(list(g1_kernel_generators(G)))[0]
+        assert rep["k1_basis"] == hermite_normal_form(list(g1_kernel_generators(G)))
 
     def test_json_shape(self):
         payload = ktheory_report(generate_theta(3))
@@ -955,6 +963,94 @@ class TestReport:
         assert k1(G)[1] == kernel_basis(Mt)
         other = solve_min_scalar(Mt, [1] * len(Mt))
         assert rep["unit_order"] == (None if other is None else other[0])
+
+
+# The witnesses that invariants printed while it read them off the Smith form
+# of 1 - A in index order, before they were made canonical
+_INDEX_ORDER_WITNESSES = {
+    "chain5.graph": [0, -1, 0, -2, -1, 0, -2, -1, 0, -2, -1, -2,
+                     -2, -1, -2, 0, -1, -2, 0, -1, -2, 0, -1, 0],
+    "flower4.graph": [-1, -1, -1, -1, 0, 0, 0, 0],
+    "flower5.graph": [-1, -1, -1, -1, -1, 0, 0, 0, 0, 0],
+    "mixed.graph": [-5, -3, -5, 4, 1, -5, -5, 3, 0, -2, 0, -9, -6, 0, 0, -8],
+    "theta4.graph": [3, -2, -2, -2, -2, -5, 0, 0, 0, 0],
+}
+
+
+def _reduced(rows, x):
+    """x minus x[p] times each row, p the row's pivot: for Hermite rows with
+    unit pivots, the one vector congruent to x modulo their lattice that is
+    0 at every pivot."""
+    for row in rows:
+        k = x[next(j for j, a in enumerate(row) if a)]
+        x = [a - k * b for a, b in zip(x, row)]
+    return x
+
+
+def _three_witnesses(G):
+    """The printed witness, and the canonical reductions of the index-order
+    solve's witness and of the transcript's Y z."""
+    M = one_minus_edge_matrix(G)
+    _, lam, t = _transcript_route(G)
+    z = [lam * v // d if d else 0 for d, v in zip(t.final_diagonal, t.ones_image)]
+    lattice = cycle_lattice(G)
+    return (
+        ktheory_report(G)["witnesses"]["unit_preimage"],
+        _reduced(lattice, solve_min_scalar(M, [1] * len(M))[1]),
+        _reduced(lattice, _replay_vector(z, t.operations, "col_")),
+    )
+
+
+class TestCanonicalWitness:
+    """The printed witness is the one solution of (1 - A) x = lam * 1 that is
+    0 at every non-tree edge, whatever route solved the equation."""
+
+    def test_three_routes_agree_on_every_class(self):
+        graphs = [G for G in enumerate_connected(5, 6) if betti_number(G) >= 2]
+        assert len(graphs) == 361
+        for G in graphs:
+            printed, solved, replayed = _three_witnesses(G)
+            assert printed == solved == replayed
+
+    @settings(max_examples=40)
+    @given(connected_multigraphs(min_genus=2))
+    def test_three_routes_agree(self, G):
+        printed, solved, replayed = _three_witnesses(G)
+        assert printed == solved == replayed
+        m = len(G.edges)
+        M = one_minus_edge_matrix(G)
+        assert mat_vec(M, printed) == [expected_invariants(G)[2]] * (2 * m)
+        tree = set(multigraph_mod.spanning_tree(G))
+        assert all(printed[e] == 0 for e in range(m) if e not in tree)
+
+    @pytest.mark.parametrize("name", sorted(_INDEX_ORDER_WITNESSES))
+    def test_differs_from_the_index_order_witness_by_the_kernel(self, name):
+        rep = ktheory_report(parse_graph((GOLDEN / name).read_text()))
+        new = rep["witnesses"]["unit_preimage"]
+        old = _INDEX_ORDER_WITNESSES[name]
+        assert old != new
+        # a lattice vector's coordinates in a unit-pivot basis are its
+        # entries at the pivots, so old - new lies in it exactly when this
+        # reduction leaves nothing
+        assert not any(_reduced(rep["k1_basis"], [a - b for a, b in zip(old, new)]))
+
+    def test_lying_lattice_row_exits_3(self, monkeypatch, capsys):
+        # a cycle_lattice row that is not in the kernel moves the witness off
+        # the solutions wherever the witness is nonzero at the row's pivot
+        import graphkt.ktheory as ktheory_mod
+
+        honest = ktheory_mod.cycle_lattice
+
+        def lying(G):
+            rows = honest(G)
+            rows[-1][-1] += 1
+            return rows
+
+        monkeypatch.setattr(ktheory_mod, "cycle_lattice", lying)
+        for name in ("chain5.graph", "flower5.graph", "mixed.graph", "theta4.graph"):
+            assert _invariants_exit(name, capsys) == (
+                3, "theorem violation: unit witness must solve (1 - A) x = lam * 1 and "
+                   "vanish at the non-tree edges\n")
 
 
 def test_simplicity_flags_match_the_dense_scans():
