@@ -279,9 +279,9 @@ def smith_normal_form(M):
 
     The clears are the bulk of the log, and each is applied only to the
     entries it can change: a row clear to the nonzero entries of the pivot
-    row, a column clear to its one entry in the pivot row.  Every other
-    operation goes through ``apply_operation``, and replaying the log
-    through it gives the same diagonal form.  M must hold Python ints.
+    row, a column clear to its entry in the pivot row, the swap that brings
+    a pivot's column in to rows t on (the rows above are zero).  The rest
+    go through ``apply_operation``.  M must hold Python ints.
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
@@ -317,7 +317,9 @@ def smith_normal_form(M):
         if best[0] != t:
             record("row_swap", t, best[0])
         if best[1] != t:
-            record("col_swap", t, best[1])
+            for row in D[t:]:
+                row[t], row[best[1]] = row[best[1]], row[t]
+            ops.append(("col_swap", t, best[1]))
         while True:
             if D[t][t] < 0:
                 record("row_neg", t)
@@ -342,19 +344,17 @@ def smith_normal_form(M):
                         break
             if moved:
                 continue
-            # column t is now pivot * e_t, so a column clear changes only
-            # the entry it clears, in row t
-            for j in range(t + 1, cols):
-                v = pivot_row[j]
-                if v:
-                    q = v // pivot
-                    if q:
-                        ops.append(("col_add", j, t, -q))
-                        pivot_row[j] = v - q * pivot
-                    if pivot_row[j]:
-                        record("col_swap", t, j)
-                        moved = True
-                        break
+            # column t is now pivot * e_t and the row clears left row t as
+            # it was, so a column clear changes only its entry in row t
+            for j, v in support[1:]:
+                q = v // pivot
+                if q:
+                    ops.append(("col_add", j, t, -q))
+                    pivot_row[j] = v - q * pivot
+                if pivot_row[j]:
+                    record("col_swap", t, j)
+                    moved = True
+                    break
             if moved:
                 continue
             # row and column t are clear; enforce the divisibility chain,
@@ -363,7 +363,7 @@ def smith_normal_form(M):
                 break
             violator = None
             for i in range(t + 1, rows):
-                if any(D[i][j] % pivot for j in range(t + 1, cols)):
+                if any(v % pivot for v in D[i][t + 1:] if v):
                     violator = i
                     break
             if violator is None:

@@ -13,6 +13,7 @@ from graphkt.sweep import (
     GraphChecks,
     SweepConfig,
     canonical_key,
+    check_edge_matrix_structure,
     check_snf_diagonal,
     enumerate_connected,
     random_connected,
@@ -107,11 +108,27 @@ class TestEnumeration:
             assert G.vertex_count <= 2 and len(G.edges) <= 3
 
     def test_same_list_as_brute_force(self):
-        assert enumerate_connected(4, 6) == brute_enumerate(4, 6)
+        assert sorted(map(canonical_key, enumerate_connected(4, 6))) == sorted(
+            map(canonical_key, brute_enumerate(4, 6))
+        )
+
+    def test_each_class_keeps_its_canonical_labelling(self):
+        # so (n, edges) is the class's key, and the list in (n, m, edges)
+        # order puts every class after the classes of its contractions
+        graphs = enumerate_connected(5, 6)
+        assert all(canonical_key(G) == (G.vertex_count, G.edges) for G in graphs)
+        order = [(G.vertex_count, len(G.edges), G.edges) for G in graphs]
+        assert order == sorted(order)
 
     @pytest.mark.parametrize(
         "max_vertices, max_edges, classes",
-        [(4, 6, 283), (5, 6, 405), pytest.param(5, 7, 1177, marks=pytest.mark.slow)],
+        [
+            (4, 6, 283),
+            (5, 6, 405),
+            (6, 8, 5081),
+            pytest.param(5, 7, 1177, marks=pytest.mark.slow),
+            pytest.param(7, 8, 6091, marks=pytest.mark.slow),
+        ],
     )
     def test_class_counts(self, max_vertices, max_edges, classes):
         assert len(enumerate_connected(max_vertices, max_edges)) == classes
@@ -135,8 +152,9 @@ class TestGrowthFromParents:
         [(5, 6), pytest.param(5, 7, marks=pytest.mark.slow)],
     )
     def test_same_list_as_the_walk(self, max_vertices, max_edges):
-        assert enumerate_connected(max_vertices, max_edges) == walk_enumerate(
-            max_vertices, max_edges
+        assert [canonical_key(G) for G in enumerate_connected(max_vertices, max_edges)] == sorted(
+            (canonical_key(G) for G in walk_enumerate(max_vertices, max_edges)),
+            key=lambda key: (key[0], len(key[1]), key[1]),
         )
 
     @pytest.mark.slow
@@ -216,9 +234,8 @@ class TestRunSweep:
         ids = [id(edges) for edges in proved if edges]  # () is one shared object
         assert len(ids) == len(set(ids)) > 0
 
-    def test_one_minus_a_and_its_transpose_reduced_once_per_graph(self, monkeypatch):
-        # every check reads the two cached Smith forms; only the one-edge
-        # contractions reduce a further matrix each
+    @staticmethod
+    def count_smith_forms(monkeypatch, config):
         import graphkt.exact_linalg as linalg_mod
         import graphkt.ktheory as ktheory_mod
         import graphkt.sweep as sweep_mod
@@ -232,11 +249,39 @@ class TestRunSweep:
 
         for mod in (linalg_mod, ktheory_mod, sweep_mod):
             monkeypatch.setattr(mod, "smith_normal_form", counted)
-        report = run_sweep(SweepConfig(max_vertices=3, max_edges=4))
-        assert report["ok"]
+        assert run_sweep(config)["ok"]
+        return len(calls)
+
+    def test_one_minus_a_and_its_transpose_reduced_once_per_graph(self, monkeypatch):
+        # every check reads the two cached Smith forms, and each one-edge
+        # contraction reads its class's cokernel off the sweep's table
+        calls = self.count_smith_forms(monkeypatch, SweepConfig(max_vertices=3, max_edges=4))
         cyclic = [G for G in enumerate_connected(3, 4) if betti_number(G) >= 1]
+        assert calls == 2 * len(cyclic)
+
+    def test_random_mode_reduces_each_contraction(self, monkeypatch):
+        # random mode has no table, so each one-edge contraction is reduced
+        config = SweepConfig(mode="random", sample_count=30, seed=5, max_edges=5)
+        calls = self.count_smith_forms(monkeypatch, config)
+        cyclic = [G for G in random_connected(config) if betti_number(G) >= 1]
         contractions = sum(1 for G in cyclic for u, v in G.edges if u != v)
-        assert len(calls) == 2 * len(cyclic) + contractions
+        assert contractions > 0
+        assert calls == 2 * len(cyclic) + contractions
+
+    def test_table_miss_fails_contraction_claim(self, monkeypatch):
+        # a canonical_key that lies on the contractions finds no class in
+        # the table: that is a contraction_claim failure, not a KeyError
+        import graphkt.sweep as sweep_mod
+
+        graphs = enumerate_connected(3, 4)
+        monkeypatch.setattr(sweep_mod, "enumerate_connected", lambda *bounds: graphs)
+        monkeypatch.setattr(sweep_mod, "canonical_key", lambda G: (G.vertex_count, ("lie",)))
+        report = run_sweep(SweepConfig(max_vertices=3, max_edges=4), max_failures=1000)
+        contracting = [G for G in graphs if betti_number(G) >= 1 and G.vertex_count >= 2]
+        assert len(report["failures"]) == len(contracting) > 0
+        for failure in report["failures"]:
+            assert failure["check"] == "contraction_claim"
+            assert failure["message"] == "contracted class must have been checked before it"
 
     @pytest.mark.parametrize(
         "config",
@@ -371,3 +416,15 @@ def test_simplicity_flags_checked_for_every_genus(monkeypatch):
     report = run_sweep(SweepConfig(max_vertices=1, max_edges=1), max_failures=1)
     assert [f["check"] for f in report["failures"]] == ["edge_matrix_structure"]
     assert report["failures"][0]["graph"] == format_graph(generate_flower(1))
+
+
+def test_reversal_asymmetry_detected():
+    # swapping two unequal entries of one row keeps every row sum and the
+    # total, so only the comparison with the reversal-transpose can see it
+    ctx = GraphChecks(generate_theta(2))
+    A = [list(row) for row in ctx.A]
+    j, k = next((j, k) for j, k in combinations(range(len(A)), 2) if A[0][j] != A[0][k])
+    A[0][j], A[0][k] = A[0][k], A[0][j]
+    ctx.A = A
+    with pytest.raises(CheckFailed, match="path reversal symmetry must hold"):
+        check_edge_matrix_structure(ctx)
