@@ -17,9 +17,9 @@ one record of the transform and its certificate: a log of elementary
 operations is a product of determinant +-1 matrices, so checking each
 operation and that the log replays m to d checks x * m * y = d.  Readers
 never build x or y: one loop, ``_replay_vector``, replays the log entry by
-entry on only the plain vectors they need (rows of x and columns of y at
-the kernel positions, x b and y z), and tests compare its four products
-x v, v x, y v and v y with the materialised transforms.
+entry on only the plain vectors they need (kernel rows of x and columns of
+y; x b and y z, by ``min_scalar`` and ``preimage``); tests compare its four
+products x v, v x, y v and v y with the materialised transforms.
 
 ``reversed_charpoly`` gives det(1 - uM), both zeta sides, by Hessenberg
 reductions modulo as many primes as the bound ``charpoly_bound`` needs: one
@@ -51,7 +51,6 @@ __all__ = [
     "hermite_normal_form",
     "kernel_basis",
     "AbelianGroup",
-    "cokernel",
     "solve_min_scalar",
     "poly_trim",
     "poly_mul",
@@ -249,6 +248,17 @@ class SmithDecomposition:
     def cokernel(self):
         """Z^rows modulo the column span of m."""
         return AbelianGroup.from_diagonal(self.diagonal, len(self.d))
+
+    def min_scalar(self, b):
+        """(lam, x b): the least lam > 0 with m w = lam b solvable, which is
+        d z = lam (x b) for z = y^-1 w, or None; the log replayed on b."""
+        c = _replay_vector(b, self.operations, "row_")
+        return _min_scalar(self.diagonal, c), c
+
+    def preimage(self, lam, c):
+        """y z for d z = lam c: w with m w = lam b when (lam, c) = min_scalar(b)."""
+        z = [lam * v // d if d else 0 for d, v in zip(self.diagonal, c)]
+        return _replay_vector(z, self.operations, "col_")
 
     @cached_property
     def left_kernel(self):
@@ -462,15 +472,6 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(M):
-    """Z^rows modulo the column span of M, reduced from the last row up: a row
-    permutation is unimodular.  Row t of 1 - A^t is +1 at column t and -1 at
-    the edges entering t's origin, so in index order the unit scan pivots on
-    the diagonal and fills in; reversed, it pivots on an entering edge, and the
-    rows leaving that edge's terminus become differences of at most 4 entries."""
-    return smith_normal_form(M[::-1]).cokernel
-
-
 def _min_scalar(diag, c):
     """Least lam > 0 with D z = lam c solvable over Z, D the square diagonal
     matrix of diag, or None when no lam is."""
@@ -499,16 +500,10 @@ def solve_min_scalar(M, b, snf=None):
         raise ValueError("vector length must match the matrix size")
     if snf is None:
         snf = smith_normal_form(M)
-    # M w = lam b exactly when d (y^-1 w) = lam (x b): solve d z = lam c for
-    # c = x b, then w = y z.  Both products are replayed from the log entry
-    # by entry, so the transforms x and y are never built.
-    diag = snf.diagonal
-    c = apply_row_operations_to_vector(b, snf.operations)
-    lam = _min_scalar(diag, c)
+    lam, c = snf.min_scalar(b)
     if lam is None:
         return None
-    z = [lam * v // d if d else 0 for d, v in zip(diag, c)]
-    x = _replay_vector(z, snf.operations, "col_")
+    x = snf.preimage(lam, c)
     if mat_vec(M, x) != [lam * v for v in b]:
         raise TheoremViolation("solver witness x must satisfy M x = lam * b")
     return lam, x

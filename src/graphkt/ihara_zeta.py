@@ -15,19 +15,23 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .edge_operator import edge_matrix, oriented_edges
+from .edge_operator import MAX_EDGES, edge_matrix, oriented_edges
 from .errors import DomainError, TheoremViolation
 from .exact_linalg import poly_mul, poly_pow, reversed_charpoly
 from .ktheory import _require_genus, expected_invariants
 from .multigraph import betti_number, require_connected, valences
 
 __all__ = [
+    "MAX_ZETA_EDGES",
     "vertex_adjacency_matrix",
     "edge_charpoly",
     "ihara_rhs",
     "vanishing_order_at_one",
     "zeta_report",
 ]
+
+# zeta's edge side grows about 18x per doubling of m: see README's size limit
+MAX_ZETA_EDGES = 300
 
 
 def vertex_adjacency_matrix(G):
@@ -86,6 +90,9 @@ def zeta_report(G):
     """Both zeta sides, checked equal, and their vanishing order at u = 1,
     as printed; coefficient lists are lowest degree first."""
     rank = expected_invariants(G)[1]  # DomainError below g = 1
+    m = len(G.edges)
+    if MAX_ZETA_EDGES < m <= MAX_EDGES:  # above MAX_EDGES, edge_matrix refuses
+        raise DomainError(f"{m} edges exceed zeta's limit of {MAX_ZETA_EDGES}")
     edge_poly = edge_charpoly(G)
     vertex_poly = ihara_rhs(G)
     if edge_poly != vertex_poly:

@@ -13,10 +13,10 @@ The kernel needs no reduction: for g >= 2 it is the lifted cycle lattice,
 and the lifted fundamental cycles of one spanning tree are its Hermite
 basis (``cycle_lattice``); for g = 1 two explicit generators span it.  Each
 basis is certified on the successor lists, and the Smith diagonal fixes the
-kernel's rank.  A second, independent reduction of 1 - A^t cross-checks the
-degree-zero group.  Identities that must hold between independently
-computed quantities are re-verified at runtime and raise TheoremViolation
-on mismatch; that always means a bug, never bad input.
+kernel's rank.  A reduction of 1 - A^t cross-checks K0, and K0 and lam
+meet ``expected_invariants`` in ``_decompose`` alone.  Identities that must
+hold between independent computations are re-verified at runtime and raise
+TheoremViolation on mismatch; that always means a bug, never bad input.
 """
 
 from __future__ import annotations
@@ -29,11 +29,8 @@ from .edge_operator import one_minus_edge_matrix, oriented_edges, successors
 from .errors import DomainError, TheoremViolation
 from .exact_linalg import (
     AbelianGroup,
-    _min_scalar,
-    _replay_vector,
     apply_operations,
     apply_row_operations_to_vector,
-    cokernel,
     hermite_normal_form,
     smith_normal_form,
     transpose,
@@ -64,23 +61,25 @@ def _require_genus(G, minimum, message=None):
 
 
 def _decompose(G):
-    """(K0, unit order, snf, x 1) for M = 1 - A: snf is x P M y = D, P the row
-    reversal, for ``cokernel``'s reason with successors for predecessors:
-    row e of M is -1 at e's successors, so reversed, the unit scan pivots on
-    a successor instead of the diagonal and does not fill in.  P 1 = 1, so
-    the log solves M w = lam * 1 as it stands.  K0 is cross-checked against
-    the cokernel of 1 - A^t, reduced first so that one reduction is held at
-    a time, and lam against the closed form."""
+    """(K0, unit order, snf, x 1) for M = 1 - A, and the one comparison of
+    both with the closed form.  snf is x P M y = D, P the row reversal, so
+    the log solves M w = lam * 1 as P 1 = 1; P M^t, the cross-check, goes
+    first so that one reduction is held at a time.  Row t of M^t is +1 at t
+    and -1 at t's predecessors, row e of M likewise with successors: in index
+    order the unit scan pivots on the diagonal and fills in, reversed on a
+    predecessor (successor), whose column's rows become 4-entry differences."""
     M = one_minus_edge_matrix(G)
-    transposed = cokernel(transpose(M))
+    group = smith_normal_form(transpose(M)[::-1]).cokernel
     snf = smith_normal_form(M[::-1])
-    if snf.cokernel != transposed:
+    if snf.cokernel != group:
         raise TheoremViolation("cokernel must not depend on the transpose convention")
-    ones = apply_row_operations_to_vector([1] * len(M), snf.operations)
-    found, expected = _min_scalar(snf.diagonal, ones), expected_invariants(G)[2]
+    found, ones = snf.min_scalar([1] * len(M))
+    closed, _, expected = expected_invariants(G)
+    if group != closed:
+        raise TheoremViolation(f"unexpected degree-zero group {group} for g = {betti_number(G)}")
     if found != expected:
         raise TheoremViolation(f"unit order solver found {found}, closed form gives {expected}")
-    return transposed, found, snf, ones
+    return group, found, snf, ones
 
 
 def k0(G):
@@ -383,8 +382,6 @@ def classify_stable(G1, G2):
     g1 = _require_genus(G1, 2, _CLASSIFY_MESSAGE)
     g2 = _require_genus(G2, 2, _CLASSIFY_MESSAGE)
     groups = (k0(G1), k0(G2))
-    if (g1 == g2) != (groups[0] == groups[1]):
-        raise TheoremViolation("degree-zero groups must match exactly when g does")
     flags = (simplicity_flags(G1, g1)[2], simplicity_flags(G2, g2)[2])
     out = _verdict("stable", EQUIVALENT if g1 == g2 else NOT_EQUIVALENT, (g1, g2), groups, flags)
     if not all(flags):
@@ -425,8 +422,7 @@ def _canonical_witness(G, lam, snf, ones, basis):
     its non-tree edge and 0 at the others, so subtracting x[p] times each
     row leaves the solution that is 0 at every pivot.  Both are checked, the
     equation on the successor lists, in O(g m + nnz(A))."""
-    z = [lam * v // d if d else 0 for d, v in zip(snf.diagonal, ones)]
-    x = _replay_vector(z, snf.operations, "col_")
+    x = snf.preimage(lam, ones)
     pivots = [next(j for j, k in enumerate(row) if k) for row in basis]
     for p, row in zip(pivots, basis):
         k = x[p]
@@ -446,9 +442,7 @@ def ktheory_report(G):
     group, order, snf, ones = _decompose(G)
     basis = cycle_lattice(G) if g >= 2 else _g1_kernel(G)[1]
     rank = len(basis)
-    expected_group, expected_rank, _ = expected_invariants(G)
-    if group != expected_group:
-        raise TheoremViolation(f"unexpected degree-zero group {group} for g = {g}")
+    expected_rank = expected_invariants(G)[1]
     if rank != expected_rank:
         raise TheoremViolation(f"unexpected kernel rank {rank} for g = {g}")
     witness = None if order is None else _canonical_witness(G, order, snf, ones, basis)

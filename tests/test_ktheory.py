@@ -37,7 +37,6 @@ from graphkt.exact_linalg import (
     apply_operation,
     apply_operations,
     apply_row_operations_to_vector,
-    cokernel,
     hermite_normal_form,
     kernel_basis,
     mat_vec,
@@ -736,24 +735,42 @@ class TestClassifyFromTheTranscript:
         import graphkt.ktheory as ktheory_mod
 
         def padded(M):
-            group = cokernel(M)
+            # the transpose with a block [extra] appended: its cokernel gains Z/extra
+            Mt = transpose(M)
+            group = smith_normal_form(Mt).cokernel
             extra = 2 * (group.torsion[-1] if group.torsion else 1)
-            return AbelianGroup(group.free_rank, group.torsion + (extra,))
+            return [row + [0] for row in Mt] + [[0] * len(Mt) + [extra]]
 
-        monkeypatch.setattr(ktheory_mod, "cokernel", padded)
+        monkeypatch.setattr(ktheory_mod, "transpose", padded)
         code = main([str(GOLDEN / a) if a.endswith(".graph") else a for a in argv])
         assert (code, capsys.readouterr().err) == (
             3, "theorem violation: cokernel must not depend on the transpose convention\n")
 
     def test_doubled_unit_order_exits_3(self, monkeypatch, capsys):
-        import graphkt.ktheory as ktheory_mod
+        import graphkt.exact_linalg as linalg_mod
 
-        monkeypatch.setattr(ktheory_mod, "_min_scalar", _doubled(ktheory_mod._min_scalar))
+        monkeypatch.setattr(linalg_mod, "_min_scalar", _doubled(linalg_mod._min_scalar))
         pair = [str(GOLDEN / "flower4.graph"), str(GOLDEN / "theta4.graph")]
         for argv in (["invariants", pair[0]], ["classify", *pair, "--stable"],
                      ["classify", *pair, "--strict"]):
             assert (main(argv), capsys.readouterr().err) == (
                 3, "theorem violation: unit order solver found 6, closed form gives 3\n")
+
+    def test_wrong_closed_form_k0_exits_3(self, monkeypatch, capsys):
+        # an expected_invariants that states one free generator too many: the
+        # one comparison in _decompose catches it for every report
+        import graphkt.ktheory as ktheory_mod
+
+        def wrong(G):
+            group, rank, lam = expected_invariants(G)
+            return AbelianGroup(group.free_rank + 1, group.torsion), rank, lam
+
+        monkeypatch.setattr(ktheory_mod, "expected_invariants", wrong)
+        pair = [str(GOLDEN / "flower4.graph"), str(GOLDEN / "theta4.graph")]
+        for argv in (["invariants", pair[0]], ["classify", *pair, "--stable"],
+                     ["classify", *pair, "--strict"]):
+            assert (main(argv), capsys.readouterr().err) == (
+                3, "theorem violation: unexpected degree-zero group Z^4 + Z/3 for g = 4\n")
 
     def test_doubled_unit_order_recorded_by_sweep(self, monkeypatch):
         import graphkt.sweep as sweep_mod
@@ -764,8 +781,8 @@ class TestClassifyFromTheTranscript:
 
 
 class TestTransposedCrossCheckFill:
-    # cokernel reduces 1 - A^t from its last row up; in index order its Smith
-    # form pivots on the diagonal and fills in, logging over twice as much
+    # _decompose reduces 1 - A^t from its last row up; in index order its
+    # Smith form pivots on the diagonal and fills in, logging over twice as much
 
     @pytest.mark.parametrize(
         "G",
@@ -774,23 +791,23 @@ class TestTransposedCrossCheckFill:
         ids=["flower48", "theta48", "chain34", "random200"],
     )
     def test_logs_at_most_half_of_index_order(self, G, monkeypatch):
-        import graphkt.exact_linalg as linalg_mod
+        import graphkt.ktheory as ktheory_mod
 
         logged = []
 
         def counted(M):
             snf = smith_normal_form(M)
-            logged.append(len(snf.operations))
+            logged.append((M, len(snf.operations)))
             return snf
 
         Mt = transpose(one_minus_edge_matrix(G))
-        monkeypatch.setattr(linalg_mod, "smith_normal_form", counted)
-        group = cokernel(Mt)
+        monkeypatch.setattr(ktheory_mod, "smith_normal_form", counted)
+        group = _decompose(G)[0]
         monkeypatch.undo()
         index_order = smith_normal_form(Mt)
         assert group == index_order.cokernel
-        assert len(logged) == 1
-        assert 2 * logged[0] <= len(index_order.operations)
+        assert len(logged) == 2 and logged[0][0] == Mt[::-1]  # the cross-check comes first
+        assert 2 * logged[0][1] <= len(index_order.operations)
 
 
 def _group_dict(group):
@@ -958,7 +975,7 @@ class TestReport:
         # transpose of 1 - A, reduced independently, must give the same
         rep = ktheory_report(G)
         Mt = transpose(one_minus_edge_matrix(G))
-        assert rep["k0"] == _group_dict(cokernel(Mt))
+        assert rep["k0"] == _group_dict(smith_normal_form(Mt).cokernel)
         assert rep["k1_basis"] == kernel_basis(Mt)
         assert k1(G)[1] == kernel_basis(Mt)
         other = solve_min_scalar(Mt, [1] * len(Mt))
